@@ -8,9 +8,9 @@ experiments on it.
 """
 
 from .errors import DalangConditionError, InvariantViolation
-from .spectral import (Family, SpectralMeasure, dalang_condition,
-                       dalang_partial_integral, density, density_integrable,
-                       heat_kernel_closed_form, kernel_eval, truncation_tail)
+from .spectral import (Family, SpectralMeasure, dalang_condition, density,
+                       density_integrable, heat_kernel_closed_form, kernel_eval,
+                       truncation_tail)
 from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
                       forward_transform, inner0, inverse_transform, l2_inner,
                       l2_norm, norm0, random_band_limited, read_field,
@@ -21,13 +21,12 @@ from .fracops import (OperatorKind, OperatorSpec, apply, bessel_potential,
                       laplacian_power, localization_check, mixed_time_space_norm,
                       operator_J, q_exponent, remove_mean, riesz_derivative,
                       riesz_potential)
-from .pde import (BumpSpec, HeatPropagator, fourier_bound_check,
-                  riemann_convergence_study, solve_backward, solve_forward)
+from .pde import (BumpSpec, fourier_bound_check, riemann_convergence_study,
+                  solve_backward, solve_forward)
 from .simulate import (NoiseModel, PathEnsemble, RNG_ID, increment_to_physical,
                        mc_covariance, mc_isometry, mc_isometry_batch,
-                       mc_representer, mc_representer_field,
-                       sample_noise_increment, simulate_u, spectral_amplitudes,
-                       stochastic_integral)
+                       mc_representer_field, sample_noise_increment, simulate_u,
+                       spectral_amplitudes, stochastic_integral)
 from .rkhs import (RkhsElement, duality_check, element_from_h, heat_column,
                    krylov_norm, markov_guarantee, norm_equivalence_study,
                    representer, rkhs_inner, w12_norm)
@@ -41,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DalangConditionError", "InvariantViolation",
     "Family", "SpectralMeasure", "density", "dalang_condition",
-    "dalang_partial_integral", "density_integrable", "kernel_eval",
+    "density_integrable", "kernel_eval",
     "heat_kernel_closed_form", "truncation_tail",
     "Field", "Layout", "Representation", "SpaceTimeLattice",
     "forward_transform", "inverse_transform", "inner0", "norm0",
@@ -52,12 +51,12 @@ __all__ = [
     "OperatorKind", "OperatorSpec", "apply", "bessel_potential",
     "riesz_potential", "riesz_derivative", "laplacian_power", "operator_J",
     "remove_mean", "localization_check", "q_exponent", "mixed_time_space_norm",
-    "HeatPropagator", "BumpSpec", "solve_forward", "solve_backward",
+    "BumpSpec", "solve_forward", "solve_backward",
     "fourier_bound_check", "riemann_convergence_study",
     "NoiseModel", "PathEnsemble", "RNG_ID", "simulate_u",
     "sample_noise_increment", "increment_to_physical", "spectral_amplitudes",
     "stochastic_integral", "mc_isometry", "mc_isometry_batch",
-    "mc_representer", "mc_representer_field", "mc_covariance",
+    "mc_representer_field", "mc_covariance",
     "RkhsElement", "representer", "element_from_h", "heat_column",
     "rkhs_inner", "duality_check", "krylov_norm", "w12_norm",
     "markov_guarantee", "norm_equivalence_study",

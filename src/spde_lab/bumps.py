@@ -87,18 +87,6 @@ def radial_cutoff(lattice: SpaceTimeLattice, center, inner_radius: float,
                  vals.astype(np.complex128))
 
 
-def broadcast_in_time(f: Field) -> Field:
-    """Tile a space-only physical field across all time slices."""
-    if f.layout is not Layout.SPACE_ONLY:
-        raise ValueError("expected a space-only field")
-    g = f if f.representation is Representation.PHYSICAL else None
-    if g is None:
-        raise ValueError("expected a physical-representation field")
-    lat = f.lattice
-    vals = np.broadcast_to(f.values, (lat.n_time + 1,) + lat.n_space).copy()
-    return Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME, vals)
-
-
 def support_mask(f: Field, rel_tol: float = 1e-12) -> np.ndarray:
     """Boolean mask where |values| exceeds rel_tol times the field maximum."""
     a = np.abs(f.values)

@@ -18,7 +18,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -55,8 +54,6 @@ def _build_parser() -> _Parser:
         q.add_argument("--config", required=True, help="YAML config path")
         q.add_argument("--seed", type=int, default=None, help="override config seed")
         q.add_argument("--out", default=None, help="override output directory")
-        q.add_argument("--threads", type=int, default=None,
-                       help="worker threads (fallback: env SPDE_LAB_THREADS)")
         q.add_argument("--quiet", action="store_true", help="suppress summary lines")
     return p
 
@@ -110,16 +107,15 @@ def _resolve(args, cfg: dict) -> dict:
     if args.seed is not None:
         resolved["seed"] = int(args.seed)
     resolved.setdefault("seed", 0)
+    try:
+        seed = int(resolved["seed"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"seed must be an integer: {exc}") from exc
+    if not 0 <= seed < 2 ** 64:  # the Philox key is two unsigned 64-bit words
+        raise UsageError(f"seed must lie in [0, 2^64), got {seed}")
     resolved["command"] = args.command
-    resolved.pop("out", None)  # location and parallelism do not affect results
+    resolved.pop("out", None)  # the location does not affect results
     return resolved
-
-
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SPDE_LAB_THREADS")
-    return int(env) if env else None
 
 
 def _out_dir(args, cfg: dict) -> Path:
@@ -192,8 +188,7 @@ def cmd_sample(args, cfg: dict, resolved: dict) -> None:
     params = cfg.get("sample", {})
     n_paths = int(params.get("n_paths", 4))
     out = _out_dir(args, cfg)
-    ens = simulate.simulate_u(measure, lattice, int(resolved["seed"]),
-                              n_paths, threads=_threads(args))
+    ens = simulate.simulate_u(measure, lattice, int(resolved["seed"]), n_paths)
     report = _base_report(resolved, measure, lattice)
     manifest_path = ens.save(out / "ensemble")
     report.update({"n_paths": n_paths, "ensemble_manifest": manifest_path.name,
@@ -229,8 +224,7 @@ def cmd_covariance(args, cfg: dict, resolved: dict) -> None:
                 for m, j in pts_idx]
 
     model = simulate.NoiseModel(measure, lattice)
-    mc = simulate.mc_covariance(model, pts_idx, seed, n_paths,
-                                threads=_threads(args))
+    mc = simulate.mc_covariance(model, pts_idx, seed, n_paths)
     C = markov.assemble_covariance(measure, lattice, pts_phys)
 
     rows = []
@@ -294,8 +288,12 @@ def cmd_markov(args, cfg: dict, resolved: dict) -> None:
     rect_cfg = params.get("rect")
     if not rect_cfg:
         raise UsageError("markov.rect is required: {t: [lo, hi], x: [[lo, hi], ...]}")
-    rect = (tuple(float(v) for v in rect_cfg["t"]),) + tuple(
-        tuple(float(v) for v in pair) for pair in rect_cfg["x"])
+    try:
+        rect = (tuple(float(v) for v in rect_cfg["t"]),) + tuple(
+            tuple(float(v) for v in pair) for pair in rect_cfg["x"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError("markov.rect must be {t: [lo, hi], x: [[lo, hi], ...]}, "
+                         f"got {rect_cfg!r}") from exc
     t_stride = int(params.get("time_stride", 1))
     s_stride = int(params.get("space_stride", 1))
     refine = int(params.get("oracle_refine", 1))

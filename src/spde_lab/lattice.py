@@ -28,6 +28,7 @@ Conventions (single source of truth for the whole package)
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -48,6 +49,12 @@ class Layout(str, Enum):
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _phi1(x: np.ndarray) -> np.ndarray:
+    """phi_1(x) = (1 - e^{-x})/x for x >= 0, evaluated as -expm1(-x)/x; 1 at 0."""
+    pos = x > 0.0
+    return np.where(pos, -np.expm1(-x) / np.where(pos, x, 1.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,37 @@ class SpaceTimeLattice:
             shape[ax] = -1
             out = out + xi.reshape(shape) ** 2
         return out
+
+    # -- per-mode heat-semigroup tables over one step -------------------------
+
+    @cached_property
+    def decay(self) -> np.ndarray:
+        """a(xi) = exp(-|xi|^2 dt), in (0, 1]."""
+        return np.exp(-self.xi_squared * self.dt)
+
+    @cached_property
+    def duhamel_weight(self) -> np.ndarray:
+        """w(xi) = (1 - a)/|xi|^2 = dt phi_1(|xi|^2 dt), dt at the zero mode."""
+        return self.dt * _phi1(self.xi_squared * self.dt)
+
+    @cached_property
+    def variance_weight(self) -> np.ndarray:
+        """(1 - a^2)/(2 |xi|^2) = dt phi_1(2 |xi|^2 dt), dt at the zero mode.
+
+        The variance gained by one step of the stochastic convolution, per
+        unit spectral mass.
+        """
+        return self.dt * _phi1(2.0 * self.xi_squared * self.dt)
+
+    def point_phase(self, space_index) -> np.ndarray:
+        """exp(i xi . x_j) on the frequency grid for the grid point with index j."""
+        phase = np.ones(self.n_space, dtype=np.complex128)
+        for ax, (xi, j) in enumerate(zip(self.xi_axes(), space_index)):
+            x = (int(j) % self.n_space[ax]) * self.extent[ax] / self.n_space[ax]
+            shape = [1] * self.dim
+            shape[ax] = -1
+            phase = phase * np.exp(1j * xi * x).reshape(shape)
+        return phase
 
     def xi_component(self, axis: int) -> np.ndarray:
         """xi_axis broadcast to the full frequency grid."""
@@ -355,7 +393,7 @@ def refine_field(f: Field, space_factor: int = 2, time_factor: int = 2) -> Field
     )
     g = as_physical(f)
     # spatial zero-padding per slice
-    F = forward_transform(g if f.layout is Layout.SPACE_ONLY else g).values
+    F = forward_transform(g).values
     pad_shape = fine.n_space if f.layout is Layout.SPACE_ONLY else (lat.n_time + 1,) + fine.n_space
     padded = np.zeros(pad_shape, dtype=np.complex128)
     src_idx = [np.fft.fftfreq(n) * n for n in lat.n_space]
@@ -414,10 +452,17 @@ def write_field(f: Field, path) -> None:
 
 def read_field(path) -> Field:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
         if magic != _MAGIC:
             raise ValueError(f"not a field container (bad magic {magic!r})")
+        if size < 16:
+            raise ValueError("truncated field container")
         (dim,) = struct.unpack("<q", fh.read(8))
+        if dim < 1:
+            raise ValueError(f"field container has dimension {dim}")
+        if size < 48 + 16 * dim:  # the header written by write_field
+            raise ValueError("truncated field container")
         n_space = struct.unpack(f"<{dim}q", fh.read(8 * dim))
         (n_time,) = struct.unpack("<q", fh.read(8))
         extent = struct.unpack(f"<{dim}d", fh.read(8 * dim))

@@ -34,14 +34,20 @@ from .rkhs import RkhsElement, element_from_h, krylov_norm, rkhs_inner, rkhs_inn
 from .spectral import Family, SpectralMeasure
 
 
-def _time_factor(lam: np.ndarray, t: float, s: float) -> np.ndarray:
-    """(exp(-lam |t-s|) - exp(-lam (t+s))) / (2 lam), continuous value t^s at 0."""
-    t_min = min(t, s)
-    gap = abs(t - s)
+def _time_factor(lam, gap, t_min):
+    """(exp(-lam |t-s|) - exp(-lam (t+s))) / (2 lam), continuous value t^s at 0.
+
+    Takes gap = |t - s| and t_min = t ^ s; lam, gap and t_min broadcast.
+    """
+    pos = lam > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         body = np.exp(-lam * gap) * (-np.expm1(-2.0 * lam * t_min)) / np.where(
-            lam > 0.0, 2.0 * lam, 1.0)
-    return np.where(lam > 0.0, body, t_min)
+            pos, 2.0 * lam, 1.0)
+    if np.ndim(pos) == 0:
+        # One mode on P x P blocks (assemble_covariance): a np.where copy per
+        # mode doubles the page faults of the assembly and raises its peak RSS.
+        return body if pos else t_min
+    return np.where(pos, body, t_min)
 
 
 def covariance_oracle(measure: SpectralMeasure, lattice: SpaceTimeLattice,
@@ -61,7 +67,7 @@ def covariance_oracle(measure: SpectralMeasure, lattice: SpaceTimeLattice,
     g = measure.density(lam)
     c = (2.0 * np.pi) ** (-lattice.dim)
     return float(c * lattice.freq_cell_volume
-                 * np.sum(g * np.cos(phase) * _time_factor(lam, t, s)))
+                 * np.sum(g * np.cos(phase) * _time_factor(lam, abs(t - s), min(t, s))))
 
 
 @dataclass
@@ -109,11 +115,7 @@ def assemble_covariance(measure: SpectralMeasure, lattice: SpaceTimeLattice,
         w = c * g_flat[idx]
         if w == 0.0:
             continue
-        lam = lam_flat[idx]
-        if lam > 0.0:
-            tf = np.exp(-lam * gap) * (-np.expm1(-2.0 * lam * t_min)) / (2.0 * lam)
-        else:
-            tf = t_min
+        tf = _time_factor(lam_flat[idx], gap, t_min)
         ph = x_arr @ xi_mat[idx]  # (P,)
         cp, sp = np.cos(ph), np.sin(ph)
         R += (w * tf) * (np.outer(cp, cp) + np.outer(sp, sp))

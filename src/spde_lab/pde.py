@@ -19,7 +19,6 @@ slice vanishes:  <solve_forward(phi1), eta>_L2 = <phi1, solve_backward(eta)>_L2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,28 +26,6 @@ from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
                       as_frequency, as_physical, forward_transform,
                       inverse_transform, l2_norm, norm0)
 from .bumps import mollifier
-
-
-@dataclass(frozen=True)
-class HeatPropagator:
-    """Cached per-mode decay and forcing-weight tables for one lattice."""
-
-    lattice: SpaceTimeLattice
-
-    @cached_property
-    def decay(self) -> np.ndarray:
-        """a(xi) = exp(-|xi|^2 dt), in (0, 1]."""
-        return np.exp(-self.lattice.xi_squared * self.lattice.dt)
-
-    @cached_property
-    def weight(self) -> np.ndarray:
-        """w(xi) = (1 - a)/|xi|^2, continuous value dt at the zero mode."""
-        lat = self.lattice
-        theta = lat.xi_squared * lat.dt
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(theta > 0.0, -np.expm1(-theta) / np.where(theta > 0, lat.xi_squared, 1.0),
-                         lat.dt)
-        return w
 
 
 def solve_forward(phi1: Field) -> Field:
@@ -60,11 +37,10 @@ def solve_forward(phi1: Field) -> Field:
     if phi1.layout is not Layout.SPACE_TIME:
         raise ValueError("solve_forward expects a space-time forcing field")
     lat = phi1.lattice
-    prop = HeatPropagator(lat)
     F = as_frequency(phi1).values
     out = np.zeros_like(F)
     for k in range(lat.n_time):
-        out[k + 1] = prop.decay * out[k] + prop.weight * F[k]
+        out[k + 1] = lat.decay * out[k] + lat.duhamel_weight * F[k]
     h = Field(lat, Representation.FREQUENCY, Layout.SPACE_TIME, out)
     return inverse_transform(h)
 
@@ -77,11 +53,10 @@ def solve_backward(eta: Field) -> Field:
     if eta.layout is not Layout.SPACE_TIME:
         raise ValueError("solve_backward expects a space-time forcing field")
     lat = eta.lattice
-    prop = HeatPropagator(lat)
     F = as_frequency(eta).values
     out = np.zeros_like(F)
     for k in range(lat.n_time - 1, -1, -1):
-        out[k] = prop.decay * out[k + 1] + prop.weight * F[k + 1]
+        out[k] = lat.decay * out[k + 1] + lat.duhamel_weight * F[k + 1]
     phi = Field(lat, Representation.FREQUENCY, Layout.SPACE_TIME, out)
     return inverse_transform(phi)
 

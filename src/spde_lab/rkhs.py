@@ -31,7 +31,7 @@ from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
                       apply_multiplier, as_frequency, forward_transform,
                       inner0, inverse_transform, l2_inner, l2_norm, norm0,
                       random_band_limited)
-from .pde import HeatPropagator, solve_backward, solve_forward
+from .pde import solve_backward, solve_forward
 from .spectral import Family, SpectralMeasure
 
 
@@ -145,10 +145,9 @@ def element_from_h(h: Field, measure: SpectralMeasure) -> RkhsElement:
     scale = float(np.abs(H).max())
     if scale > 0 and float(np.abs(H[0]).max()) > 1e-10 * scale:
         raise ValueError("h must vanish at t = 0")
-    prop = HeatPropagator(lat)
     F1 = np.zeros_like(H)
     for k in range(lat.n_time):
-        F1[k] = (H[k + 1] - prop.decay * H[k]) / prop.weight
+        F1[k] = (H[k + 1] - lat.decay * H[k]) / lat.duhamel_weight
     phi1 = inverse_transform(Field(lat, Representation.FREQUENCY,
                                    Layout.SPACE_TIME, F1))
     phi = _phi_from_phi1(phi1, measure)
@@ -178,28 +177,18 @@ def heat_column(measure: SpectralMeasure, lattice: SpaceTimeLattice, point,
     m = int(m)
     if not 0 <= m <= lattice.n_time:
         raise ValueError("time index out of range")
-    prop = HeatPropagator(lattice)
-    theta = lattice.xi_squared * lattice.dt
     if kind == "reproducing":
-        weight = prop.weight / lattice.dt
+        weight = lattice.duhamel_weight / lattice.dt
     else:
-        a2 = np.where(theta > 0.0,
-                      -np.expm1(-2.0 * theta) / np.where(theta > 0.0, 2.0 * theta, 1.0),
-                      1.0)
-        weight = np.sqrt(a2)
-    phase = np.ones(lattice.n_space, dtype=np.complex128)
-    for ax, j in enumerate(idx):
-        x = (int(j) % lattice.n_space[ax]) * lattice.extent[ax] / lattice.n_space[ax]
-        shape = [1] * lattice.dim
-        shape[ax] = -1
-        phase = phase * np.exp(-1j * lattice.xi_component(ax) * x).reshape(shape)
+        weight = np.sqrt(lattice.variance_weight / lattice.dt)
+    phase = np.conj(lattice.point_phase(idx))
     c_d = (2.0 * np.pi) ** (-lattice.dim / 2.0)
     F = np.zeros((lattice.n_time + 1,) + lattice.n_space, dtype=np.complex128)
     if m > 0:
         # decay powers a^(m-1-k) for k = 0..m-1, computed by backward recursion
         F[m - 1] = c_d * phase * weight
         for k in range(m - 2, -1, -1):
-            F[k] = prop.decay * F[k + 1]
+            F[k] = lattice.decay * F[k + 1]
     psi = inverse_transform(Field(lattice, Representation.FREQUENCY,
                                   Layout.SPACE_TIME, F))
     phi1 = _phi1_from_phi(psi, measure)

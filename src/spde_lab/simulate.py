@@ -21,7 +21,7 @@ solution driven by the g-multiplied test field.
 
 Randomness is counter-based and reproducible: each (seed, path) pair keys an
 independent Philox stream, and each time step advances the counter to a fixed
-block offset, so results are independent of chunking and thread schedule.
+block offset, so a path's values do not depend on how many paths are drawn.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -88,41 +87,19 @@ class NoiseModel:
         return np.sqrt(self.increment_variance)
 
     @cached_property
-    def decay(self) -> np.ndarray:
-        return np.exp(-self.lattice.xi_squared * self.lattice.dt)
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        """Conditional loading of eps_k on eta_k: (1 - a)/(|xi|^2 dt), 1 at 0."""
-        theta = self.lattice.xi_squared * self.lattice.dt
-        return np.where(theta > 0.0,
-                        -np.expm1(-theta) / np.where(theta > 0.0, theta, 1.0),
-                        1.0)
-
-    @cached_property
     def tau(self) -> np.ndarray:
         """Scale of the eta-independent part of eps_k.
 
-        tau^2 = g dxi^d dt [ -expm1(-2 theta)/(2 theta) - rho^2 ], which is
-        theta^2/12 * g dxi^d dt + O(theta^3); clamped at 0 against round-off.
+        tau^2 = g dxi^d dt [ (1 - a^2)/(2 |xi|^2 dt) - rho^2 ], which is
+        theta^2/12 * g dxi^d dt + O(theta^3) in theta = |xi|^2 dt; clamped
+        at 0 against round-off.
         """
-        theta = self.lattice.xi_squared * self.lattice.dt
-        a2 = np.where(theta > 0.0,
-                      -np.expm1(-2.0 * theta) / np.where(theta > 0.0, 2.0 * theta, 1.0),
-                      1.0)
-        var = (self.density * self.lattice.freq_cell_volume * self.lattice.dt
-               * np.maximum(a2 - self.rho ** 2, 0.0))
+        lat = self.lattice
+        a2 = lat.variance_weight / lat.dt
+        rho = lat.duhamel_weight / lat.dt
+        var = (self.density * lat.freq_cell_volume * lat.dt
+               * np.maximum(a2 - rho ** 2, 0.0))
         return np.sqrt(var)
-
-    @cached_property
-    def stationary_std(self) -> np.ndarray:
-        """sqrt Var u^(inf, xi) = sqrt(g dxi^d / (2 |xi|^2)) (0 at the zero mode)."""
-        lam = self.lattice.xi_squared
-        v = np.where(lam > 0.0,
-                     self.density * self.lattice.freq_cell_volume
-                     / np.where(lam > 0.0, 2.0 * lam, 1.0),
-                     0.0)
-        return np.sqrt(v)
 
     # -- randomness ------------------------------------------------------
 
@@ -156,14 +133,54 @@ def increment_to_physical(model: NoiseModel, eta: np.ndarray) -> Field:
     return inverse_transform(f)
 
 
+def _ou_steps(model: NoiseModel, seed: int, path: int):
+    """Step one path: yields (k, eta_k, u^(t_{k+1})) for k = 0 .. n_time-1.
+
+    Draws one unit pair per step; the yielded amplitude array is fresh each
+    step, so callers may keep it.
+    """
+    lat = model.lattice
+    decay, tau = lat.decay, model.tau
+    rho = lat.duhamel_weight / lat.dt
+    amps = np.zeros(lat.n_space, dtype=np.complex128)
+    for k in range(lat.n_time):
+        z1, z2 = model.unit_pair(seed, path, k)
+        eta = model.increment_scale * z1
+        amps = decay * amps + (rho * eta + tau * z2)
+        yield k, eta, amps
+
+
+def _pathwise_integrals(model: NoiseModel, FF: np.ndarray, seed: int,
+                        path: int) -> np.ndarray:
+    """M(phi_j) = sum_k sum_xi Fphi_j(t_k, xi) conj(eta_k(xi)) for one path.
+
+    ``FF`` holds the transforms at the integration times, shape
+    (J, n_time, prod(n_space)); returns the J real integrals.
+    """
+    acc = np.zeros(FF.shape[0], dtype=np.complex128)
+    for k in range(model.lattice.n_time):
+        eta_conj = np.conj(model.increment_amplitudes(seed, path, k)).ravel()
+        acc += FF[:, k] @ eta_conj
+    return acc.real
+
+
+def _integration_transforms(lat: SpaceTimeLattice, phis) -> np.ndarray:
+    """Stacked transforms of test fields at t_0 .. t_{n_time-1}, (J, n_time, N)."""
+    for phi in phis:
+        if phi.layout is not Layout.SPACE_TIME:
+            raise ValueError("test field must be a space-time field")
+        if phi.lattice != lat:
+            raise ValueError("test field lives on a different lattice")
+    return np.stack([forward_transform(phi).values[:lat.n_time].reshape(
+        lat.n_time, -1) for phi in phis])
+
+
 def spectral_amplitudes(model: NoiseModel, seed: int, path: int) -> np.ndarray:
     """One path of solution amplitudes u^(t_k, xi), shape (n_time+1,)+n_space."""
     lat = model.lattice
     out = np.zeros((lat.n_time + 1,) + lat.n_space, dtype=np.complex128)
-    for k in range(lat.n_time):
-        z1, z2 = model.unit_pair(seed, path, k)
-        eps = model.rho * (model.increment_scale * z1) + model.tau * z2
-        out[k + 1] = model.decay * out[k] + eps
+    for k, _, amps in _ou_steps(model, seed, path):
+        out[k + 1] = amps
     return out
 
 
@@ -173,20 +190,6 @@ def _amplitudes_to_physical(lat: SpaceTimeLattice, amps: np.ndarray) -> np.ndarr
     n_total = float(np.prod(lat.n_space))
     scale = (2.0 * np.pi) ** (-lat.dim / 2.0)
     return scale * n_total * np.real(np.fft.ifftn(amps, axes=axes))
-
-
-def _chunks(n: int, size: int):
-    return [(i, min(i + size, n)) for i in range(0, n, size)]
-
-
-def _run_chunked(worker, n_paths: int, threads) -> None:
-    spans = _chunks(n_paths, 32)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(worker, spans))
-    else:
-        for span in spans:
-            worker(span)
 
 
 @dataclass
@@ -238,6 +241,9 @@ class PathEnsemble:
         if directory.name == "manifest.json":  # accept what save() returned
             directory = directory.parent
         manifest = json.loads((directory / "manifest.json").read_text())
+        if len(manifest["files"]) != manifest["n_paths"]:
+            raise ValueError(f"manifest lists {len(manifest['files'])} files "
+                             f"for {manifest['n_paths']} paths")
         lat = SpaceTimeLattice.from_dict(manifest["lattice"])
         m = manifest["measure"]
         measure = SpectralMeasure(m["family"], m["alpha"], m["dim"], m["formal"])
@@ -253,18 +259,13 @@ class PathEnsemble:
 
 
 def simulate_u(measure: SpectralMeasure, lattice: SpaceTimeLattice, seed: int,
-               n_paths: int, threads: int | None = None) -> PathEnsemble:
+               n_paths: int) -> PathEnsemble:
     """Sample ``n_paths`` exact-in-law solution paths from zero initial data."""
     model = NoiseModel(measure, lattice)
     values = np.zeros((n_paths, lattice.n_time + 1) + lattice.n_space)
-
-    def worker(span):
-        lo, hi = span
-        for p in range(lo, hi):
-            amps = spectral_amplitudes(model, seed, p)
-            values[p] = _amplitudes_to_physical(lattice, amps)
-
-    _run_chunked(worker, n_paths, threads)
+    for p in range(n_paths):
+        values[p] = _amplitudes_to_physical(
+            lattice, spectral_amplitudes(model, seed, p))
     return PathEnsemble(lattice, measure, seed, n_paths, values)
 
 
@@ -273,37 +274,11 @@ def simulate_u(measure: SpectralMeasure, lattice: SpaceTimeLattice, seed: int,
 
 def stochastic_integral(model: NoiseModel, phi: Field, seed: int, path: int) -> float:
     """M(phi) = sum_{k<n_time} sum_xi Fphi(t_k, xi) conj(eta_k(xi)) for one path."""
-    if phi.layout is not Layout.SPACE_TIME:
-        raise ValueError("test field must be a space-time field")
-    if phi.lattice != model.lattice:
-        raise ValueError("test field lives on a different lattice")
-    F = forward_transform(phi).values
-    acc = 0.0 + 0.0j
-    for k in range(model.lattice.n_time):
-        eta = model.increment_amplitudes(seed, path, k)
-        acc += np.sum(F[k] * np.conj(eta))
-    return float(acc.real)
+    FF = _integration_transforms(model.lattice, [phi])
+    return float(_pathwise_integrals(model, FF, seed, path)[0])
 
 
-def _point_phase(lattice: SpaceTimeLattice, space_index) -> np.ndarray:
-    """exp(i xi . x) on the frequency grid for the grid point with this index."""
-    phase = np.zeros(lattice.n_space, dtype=np.complex128)
-    phase[...] = 1.0
-    for ax, j in enumerate(space_index):
-        x = (j % lattice.n_space[ax]) * lattice.extent[ax] / lattice.n_space[ax]
-        shape = [1] * lattice.dim
-        shape[ax] = -1
-        phase = phase * np.exp(1j * lattice.xi_component(ax) * x).reshape(shape)
-    return phase
-
-
-def _point_value(lattice: SpaceTimeLattice, amps: np.ndarray, phase: np.ndarray) -> float:
-    return float(((2.0 * np.pi) ** (-lattice.dim / 2.0)
-                  * np.sum(amps * phase)).real)
-
-
-def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int,
-                      threads: int | None = None) -> list:
+def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int) -> list:
     """Isometry check for several test fields sharing one noise ensemble.
 
     Drawing the increments once per (path, step) and pairing them against all
@@ -314,21 +289,10 @@ def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int,
     """
     from .lattice import norm0
 
-    lat = model.lattice
-    FF = np.stack([forward_transform(phi).values[:lat.n_time].reshape(
-        lat.n_time, -1) for phi in phis])  # (J, n_time, N)
+    FF = _integration_transforms(model.lattice, phis)
     samples = np.zeros((n_paths, len(phis)))
-
-    def worker(span):
-        lo, hi = span
-        for p in range(lo, hi):
-            acc = np.zeros(len(phis), dtype=np.complex128)
-            for k in range(lat.n_time):
-                eta_conj = np.conj(model.increment_amplitudes(seed, p, k)).ravel()
-                acc += FF[:, k] @ eta_conj
-            samples[p] = acc.real
-
-    _run_chunked(worker, n_paths, threads)
+    for p in range(n_paths):
+        samples[p] = _pathwise_integrals(model, FF, seed, p)
     rows = []
     for j, phi in enumerate(phis):
         exact = norm0(phi, model.measure) ** 2
@@ -341,127 +305,54 @@ def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int,
     return rows
 
 
-def mc_isometry(model: NoiseModel, phi: Field, seed: int, n_paths: int,
-                threads: int | None = None) -> dict:
+def mc_isometry(model: NoiseModel, phi: Field, seed: int, n_paths: int) -> dict:
     """Sample variance of M(phi) against the exact value ||phi||_0^2."""
-    return mc_isometry_batch(model, [phi], seed, n_paths, threads)[0]
+    return mc_isometry_batch(model, [phi], seed, n_paths)[0]
 
 
-def _joint_samples(model: NoiseModel, F: np.ndarray | None, seed: int, path: int,
-                   capture: dict) -> tuple:
-    """One path: M(phi) (when F given) and u values at captured points.
-
-    ``capture`` maps time index m -> list of phase arrays; returns (M, values
-    in iteration order of the capture lists).
-    """
-    lat = model.lattice
-    amps = np.zeros(lat.n_space, dtype=np.complex128)
-    M = 0.0 + 0.0j
-    grabbed = []
-    if 0 in capture:
-        grabbed.extend(_point_value(lat, amps, ph) for ph in capture[0])
-    for k in range(lat.n_time):
-        z1, z2 = model.unit_pair(seed, path, k)
-        eta = model.increment_scale * z1
-        if F is not None:
-            M += np.sum(F[k] * np.conj(eta))
-        amps = model.decay * amps + model.rho * eta + model.tau * z2
-        if k + 1 in capture:
-            grabbed.extend(_point_value(lat, amps, ph) for ph in capture[k + 1])
-    return float(M.real), grabbed
-
-
-def mc_representer(model: NoiseModel, phi: Field, point, seed: int, n_paths: int,
-                   threads: int | None = None) -> dict:
-    """Monte Carlo estimate of E M(phi) u(t_m, x_j) with its standard error.
-
-    ``point`` is (time_index, space_index_tuple) on phi's lattice.
-    """
-    m, j = point
-    F = forward_transform(phi).values
-    phase = _point_phase(model.lattice, tuple(j))
-    capture = {int(m): [phase]}
-    prods = np.zeros(n_paths)
-
-    def worker(span):
-        lo, hi = span
-        for p in range(lo, hi):
-            M, (u_val,) = _joint_samples(model, F, seed, p, capture)
-            prods[p] = M * u_val
-
-    _run_chunked(worker, n_paths, threads)
-    est = float(np.sum(prods) / n_paths)
-    sd = float(np.std(prods, ddof=1)) if n_paths > 1 else 0.0
-    return {"estimate": est, "stderr": sd / math.sqrt(n_paths),
-            "n_paths": n_paths, "point": [int(m), [int(i) for i in j]]}
-
-
-def mc_representer_field(model: NoiseModel, phi: Field, seed: int, n_paths: int,
-                         threads: int | None = None) -> dict:
+def mc_representer_field(model: NoiseModel, phi: Field, seed: int,
+                         n_paths: int) -> dict:
     """Monte Carlo E[M(phi) u(t, x)] at every lattice point at once.
 
     Returns ``estimate`` and ``stderr`` arrays of shape (n_time+1,)+n_space;
-    intended for modest lattices (per-path products are kept in memory so the
-    reduction is schedule-independent).
+    intended for modest lattices (per-path products are kept in memory and
+    reduced in path order).
     """
     lat = model.lattice
     F = forward_transform(phi).values
     prods = np.zeros((n_paths, lat.n_time + 1) + lat.n_space)
-
-    def worker(span):
-        lo, hi = span
-        for p in range(lo, hi):
-            traj = np.zeros((lat.n_time + 1,) + lat.n_space, dtype=np.complex128)
-            amps = np.zeros(lat.n_space, dtype=np.complex128)
-            M = 0.0 + 0.0j
-            for k in range(lat.n_time):
-                z1, z2 = model.unit_pair(seed, p, k)
-                eta = model.increment_scale * z1
-                M += np.sum(F[k] * np.conj(eta))
-                amps = model.decay * amps + model.rho * eta + model.tau * z2
-                traj[k + 1] = amps
-            prods[p] = M.real * _amplitudes_to_physical(lat, traj)
-
-    _run_chunked(worker, n_paths, threads)
+    for p in range(n_paths):
+        traj = np.zeros((lat.n_time + 1,) + lat.n_space, dtype=np.complex128)
+        M = 0.0 + 0.0j
+        for k, eta, amps in _ou_steps(model, seed, p):
+            M += np.sum(F[k] * np.conj(eta))
+            traj[k + 1] = amps
+        prods[p] = M.real * _amplitudes_to_physical(lat, traj)
     estimate = np.sum(prods, axis=0) / n_paths
     var = np.maximum(np.sum(prods ** 2, axis=0) / n_paths - estimate ** 2, 0.0)
     return {"estimate": estimate, "stderr": np.sqrt(var / n_paths),
             "n_paths": n_paths}
 
 
-def mc_covariance(model: NoiseModel, points, seed: int, n_paths: int,
-                  threads: int | None = None) -> dict:
+def mc_covariance(model: NoiseModel, points, seed: int, n_paths: int) -> dict:
     """Monte Carlo second-moment matrix E u(p) u(q) over the given grid points.
 
     ``points`` is a sequence of (time_index, space_index_tuple).  Returns the
     estimate matrix and per-entry standard errors.  Per-path values are stored
-    and reduced in path order afterwards, so the result does not depend on the
-    thread schedule.
+    and reduced in path order afterwards.
     """
     lat = model.lattice
-    capture: dict = {}
-    slots = []  # (time, position within that time's capture list) per input point
-    for m, j in points:
-        lst = capture.setdefault(int(m), [])
-        slots.append((int(m), len(lst)))
-        lst.append(_point_phase(lat, tuple(j)))
-    offsets = {}
-    base = 0
-    for m in sorted(capture):  # _joint_samples emits captured times ascending
-        offsets[m] = base
-        base += len(capture[m])
-    perm = np.array([offsets[m] + pos for m, pos in slots])
-
     P = len(points)
-    us = np.zeros((n_paths, P))
-
-    def worker(span):
-        lo, hi = span
-        for p in range(lo, hi):
-            _, grabbed = _joint_samples(model, None, seed, p, capture)
-            us[p] = np.asarray(grabbed)[perm]
-
-    _run_chunked(worker, n_paths, threads)
+    times = np.array([int(m) for m, _ in points], dtype=int)
+    phases = np.stack([lat.point_phase(j).ravel() for _, j in points])  # (P, N)
+    at_step = [np.nonzero(times == k + 1)[0] for k in range(lat.n_time)]
+    c_d = (2.0 * np.pi) ** (-lat.dim / 2.0)
+    us = np.zeros((n_paths, P))  # points at t = 0 keep u = 0
+    for p in range(n_paths):
+        for k, _, amps in _ou_steps(model, seed, p):
+            rows = at_step[k]
+            if rows.size:
+                us[p, rows] = (c_d * (phases[rows] @ amps.ravel())).real
     mean = np.zeros((P, P))
     stderr = np.zeros((P, P))
     for a in range(P):

@@ -21,8 +21,7 @@ the Dalang integrability condition holds,
 
     integral (1 + |xi|^2)^(-1) mu(dxi) < infinity,
 
-decided in closed form per family (dalang_condition) and cross-checkable by
-radial quadrature (dalang_partial_integral).
+decided in closed form per family (dalang_condition).
 """
 
 from __future__ import annotations
@@ -139,23 +138,6 @@ def dalang_condition(m: SpectralMeasure) -> bool:
 def _sphere_area(d: int) -> float:
     """Surface area of the unit sphere in R^d."""
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def dalang_partial_integral(m: SpectralMeasure, radius: float) -> float:
-    """integral_{|xi| <= radius} (1+|xi|^2)^(-1) mu(dxi) by radial quadrature.
-
-    Divergence of the full integral shows up as unbounded growth of these
-    partial integrals as radius increases; convergence as saturation.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    d = m.dim
-
-    def integrand(r):
-        return r ** (d - 1) * m.density(r * r) / (1.0 + r * r)
-
-    val, _ = integrate.quad(integrand, 0.0, radius, limit=200)
-    return _sphere_area(d) * val
 
 
 def truncation_tail(m: SpectralMeasure, radius: float) -> float:

@@ -78,6 +78,24 @@ def test_missing_out_dir_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_seed_exit_1(tmp_path, capsys):
+    cfg = _base_cfg(tmp_path / "out", sample={"n_paths": 1})
+    cfg["seed"] = -1
+    path = _write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["sample", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_markov_rect_without_t_exit_1(tmp_path, capsys):
+    cfg = _base_cfg(tmp_path / "out",
+                    markov={"band_widths": [1], "rect": {"x": [[1.0, 3.0]]}})
+    path = _write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["markov", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 # -- sample ----------------------------------------------------------------------
 
 

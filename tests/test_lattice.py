@@ -183,6 +183,38 @@ def test_field_container_rejects_bad_magic(tmp_path):
         read_field(p)
 
 
+def test_field_container_rejects_truncated_file(tmp_path):
+    lat = _lat(n=16, nt=8)
+    p = tmp_path / "f.fld"
+    write_field(random_band_limited(lat, np.random.default_rng(7)), p)
+    full = p.read_bytes()
+    for cut in (12, 20, 63, 64 + 16):  # header for dim 1 is 64 bytes
+        p.write_bytes(full[:cut])
+        with pytest.raises(ValueError, match="truncated field container"):
+            read_field(p)
+
+
+def test_step_tables_match_closed_forms():
+    lat = SpaceTimeLattice(2, (8.0, 4.0), (16, 8), 1.0, 10)
+    dt = lat.dt
+    np.testing.assert_array_equal(lat.decay, np.exp(-lat.xi_squared * dt))
+    nz = lat.xi_squared > 0
+    lam, a = lat.xi_squared[nz], lat.decay[nz]
+    np.testing.assert_allclose(lat.duhamel_weight[nz], (1 - a) / lam, rtol=1e-12)
+    np.testing.assert_allclose(lat.variance_weight[nz], (1 - a ** 2) / (2 * lam),
+                               rtol=1e-12)
+    assert lat.duhamel_weight[0, 0] == dt and lat.variance_weight[0, 0] == dt
+
+
+def test_point_phase_is_plane_wave_at_grid_point():
+    lat = SpaceTimeLattice(2, (8.0, 4.0), (16, 8), 1.0, 4)
+    j = (5, 19)  # wraps to site (5, 3)
+    x = (5 * 8.0 / 16, 3 * 4.0 / 8)
+    xi0, xi1 = np.meshgrid(*lat.xi_axes(), indexing="ij")
+    np.testing.assert_allclose(lat.point_phase(j),
+                               np.exp(1j * (xi0 * x[0] + xi1 * x[1])), atol=1e-13)
+
+
 def test_field_shape_validation():
     lat = _lat(n=16, nt=8)
     with pytest.raises(ValueError):
