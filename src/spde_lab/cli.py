@@ -81,6 +81,18 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _int_param(params: dict, section: str, key: str, default: int,
+               low: int) -> int:
+    """``params[key]`` (or ``default``) as an integer of at least ``low``."""
+    try:
+        value = int(params.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{section}.{key} must be an integer: {exc}") from exc
+    if value < low:
+        raise UsageError(f"{section}.{key} must be at least {low}, got {value}")
+    return value
+
+
 def _measure_from(cfg: dict) -> SpectralMeasure:
     spec = _require(cfg, "measure")
     try:
@@ -186,7 +198,7 @@ def cmd_sample(args, cfg: dict, resolved: dict) -> None:
     measure = _measure_from(cfg)
     lattice = _lattice_from(cfg)
     params = cfg.get("sample", {})
-    n_paths = int(params.get("n_paths", 4))
+    n_paths = _int_param(params, "sample", "n_paths", 4, 1)
     out = _out_dir(args, cfg)
     ens = simulate.simulate_u(measure, lattice, int(resolved["seed"]), n_paths)
     report = _base_report(resolved, measure, lattice)
@@ -207,8 +219,8 @@ def cmd_covariance(args, cfg: dict, resolved: dict) -> None:
     measure = _measure_from(cfg)
     lattice = _lattice_from(cfg)
     params = cfg.get("covariance", {})
-    n_points = int(params.get("n_points", 8))
-    n_paths = int(params.get("n_paths", 4000))
+    n_points = _int_param(params, "covariance", "n_points", 8, 1)
+    n_paths = _int_param(params, "covariance", "n_paths", 4000, 2)
     seed = int(resolved["seed"])
     out = _out_dir(args, cfg)
 
@@ -218,10 +230,7 @@ def cmd_covariance(args, cfg: dict, resolved: dict) -> None:
         m = int(rng.integers(1, lattice.n_time + 1))
         j = tuple(int(rng.integers(0, n)) for n in lattice.n_space)
         pts_idx.append((m, j))
-    pts_phys = [(m * lattice.dt,
-                 tuple(j[ax] * lattice.extent[ax] / lattice.n_space[ax]
-                       for ax in range(lattice.dim)))
-                for m, j in pts_idx]
+    pts_phys = [lattice.grid_point(m, j) for m, j in pts_idx]
 
     model = simulate.NoiseModel(measure, lattice)
     mc = simulate.mc_covariance(model, pts_idx, seed, n_paths)
@@ -251,7 +260,7 @@ def cmd_rkhs(args, cfg: dict, resolved: dict) -> None:
     measure = _measure_from(cfg)
     lattice = _lattice_from(cfg)
     params = cfg.get("rkhs", {})
-    samples = int(params.get("samples", 120))
+    samples = _int_param(params, "rkhs", "samples", 120, 100)
     seed = int(resolved["seed"])
     out = _out_dir(args, cfg)
 
@@ -294,11 +303,9 @@ def cmd_markov(args, cfg: dict, resolved: dict) -> None:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("markov.rect must be {t: [lo, hi], x: [[lo, hi], ...]}, "
                          f"got {rect_cfg!r}") from exc
-    t_stride = int(params.get("time_stride", 1))
-    s_stride = int(params.get("space_stride", 1))
-    refine = int(params.get("oracle_refine", 1))
-    if refine < 1:
-        raise UsageError("markov.oracle_refine must be a positive integer")
+    t_stride = _int_param(params, "markov", "time_stride", 1, 1)
+    s_stride = _int_param(params, "markov", "space_stride", 1, 1)
+    refine = _int_param(params, "markov", "oracle_refine", 1, 1)
     out = _out_dir(args, cfg)
 
     points = []
@@ -306,9 +313,7 @@ def cmd_markov(args, cfg: dict, resolved: dict) -> None:
         for j in np.ndindex(*lattice.n_space):
             if any(ji % s_stride for ji in j):
                 continue
-            points.append((m * lattice.dt,
-                           tuple(j[ax] * lattice.extent[ax] / lattice.n_space[ax]
-                                 for ax in range(lattice.dim))))
+            points.append(lattice.grid_point(m, j))
     if len(points) > 4096:
         raise UsageError(f"{len(points)} points exceed the dense limit 4096; "
                          "increase time_stride/space_stride")
@@ -361,6 +366,9 @@ def cmd_riemann(args, cfg: dict, resolved: dict) -> None:
         x_width=tuple(float(v) for v in bump_cfg.get(
             "x_width", [0.15 * L for L in extent])),
     )
+    if not all(w > 0 for w in (bump.t_width, *bump.x_width)):
+        raise UsageError("riemann.bump widths must be positive, got t_width "
+                         f"{bump.t_width} and x_width {list(bump.x_width)}")
     out = _out_dir(args, cfg)
     study = pde.riemann_convergence_study(measure, bump, levels, extent, t_max)
     if not study["monotone"]:

@@ -101,13 +101,11 @@ class SpaceTimeLattice:
         """Per-axis coordinate arrays x_i = i * dx on [0, L)."""
         return [np.arange(n) * (L / n) for L, n in zip(self.extent, self.n_space)]
 
-    def wrapped_axes(self) -> list:
-        """Per-axis signed coordinates in [-L/2, L/2) (distance from origin on the torus)."""
-        out = []
-        for L, n in zip(self.extent, self.n_space):
-            x = np.arange(n) * (L / n)
-            out.append(np.where(x < L / 2, x, x - L))
-        return out
+    def grid_point(self, time_index, space_index) -> tuple:
+        """(t_m, x_j) for indices (m, j); x_j = (j mod n) L / n on each axis."""
+        return (time_index * self.dt,
+                tuple((int(j) % n) * L / n for j, n, L
+                      in zip(space_index, self.n_space, self.extent)))
 
     def xi_axes(self) -> list:
         """Per-axis angular frequencies 2 pi k / L in FFT order."""
@@ -150,9 +148,9 @@ class SpaceTimeLattice:
 
     def point_phase(self, space_index) -> np.ndarray:
         """exp(i xi . x_j) on the frequency grid for the grid point with index j."""
+        _, x_j = self.grid_point(0, space_index)
         phase = np.ones(self.n_space, dtype=np.complex128)
-        for ax, (xi, j) in enumerate(zip(self.xi_axes(), space_index)):
-            x = (int(j) % self.n_space[ax]) * self.extent[ax] / self.n_space[ax]
+        for ax, (xi, x) in enumerate(zip(self.xi_axes(), x_j)):
             shape = [1] * self.dim
             shape[ax] = -1
             phase = phase * np.exp(1j * xi * x).reshape(shape)
@@ -470,8 +468,11 @@ def read_field(path) -> Field:
         (rep_code,) = struct.unpack("<q", fh.read(8))
         (layout_code,) = struct.unpack("<q", fh.read(8))
         lat = SpaceTimeLattice(dim, extent, n_space, t_max, n_time)
-        rep = {v: k for k, v in _REP_CODE.items()}[rep_code]
-        layout = {v: k for k, v in _LAYOUT_CODE.items()}[layout_code]
+        rep = {v: k for k, v in _REP_CODE.items()}.get(rep_code)
+        layout = {v: k for k, v in _LAYOUT_CODE.items()}.get(layout_code)
+        if rep is None or layout is None:
+            raise ValueError(f"unknown representation/layout code "
+                             f"{rep_code}/{layout_code} in field container")
         count = int(np.prod(lat.shape_for(layout)))
         raw = np.frombuffer(fh.read(16 * count), dtype="<f8")
         if raw.size != 2 * count:

@@ -43,10 +43,6 @@ def _time_factor(lam, gap, t_min):
     with np.errstate(divide="ignore", invalid="ignore"):
         body = np.exp(-lam * gap) * (-np.expm1(-2.0 * lam * t_min)) / np.where(
             pos, 2.0 * lam, 1.0)
-    if np.ndim(pos) == 0:
-        # One mode on P x P blocks (assemble_covariance): a np.where copy per
-        # mode doubles the page faults of the assembly and raises its peak RSS.
-        return body if pos else t_min
     return np.where(pos, body, t_min)
 
 
@@ -58,12 +54,8 @@ def covariance_oracle(measure: SpectralMeasure, lattice: SpaceTimeLattice,
     if not (0.0 <= t <= lattice.t_max and 0.0 <= s <= lattice.t_max):
         raise ValueError("times must lie in [0, t_max]")
     lam = lattice.xi_squared
-    phase = np.zeros(lattice.n_space)
-    for ax in range(lattice.dim):
-        shape = [1] * lattice.dim
-        shape[ax] = -1
-        phase = phase + (lattice.xi_component(ax)
-                         * (x[ax] - y[ax])).reshape(shape)
+    phase = sum(lattice.xi_component(ax) * (x[ax] - y[ax])
+                for ax in range(lattice.dim))
     g = measure.density(lam)
     c = (2.0 * np.pi) ** (-lattice.dim)
     return float(c * lattice.freq_cell_volume
@@ -85,10 +77,13 @@ def assemble_covariance(measure: SpectralMeasure, lattice: SpaceTimeLattice,
                         points) -> CovarianceMatrix:
     """Full covariance matrix over ``points`` via the frequency-sum oracle.
 
-    Assembled mode by mode with exactly symmetric rank-2 updates.  The
-    spectrum is then validated: eigenvalues below -1e-10 * trace abort
-    (quadrature inconsistency); a tiny negative tail inside that tolerance is
-    clipped to zero (PSD projection) and recorded in ``meta``.
+    R = F diag(v) F^T over Fourier features F = [cos(xi.x), sin(xi.x)], modes
+    in descending |xi|^2 (low modes carry most weight, so they come last);
+    v = c g tf(|xi|^2; t, s) depends on the times only, so each distinct time
+    is one matrix product, in any dimension, and (R + R^T)/2 is exactly
+    symmetric.  Eigenvalues below -1e-10 * trace abort (quadrature
+    inconsistency); a tiny negative tail inside that tolerance is clipped to
+    zero (PSD projection) and recorded in ``meta``.
     """
     points = [(float(t), tuple(float(c) for c in x)) for t, x in points]
     P = len(points)
@@ -99,26 +94,25 @@ def assemble_covariance(measure: SpectralMeasure, lattice: SpaceTimeLattice,
         raise ValueError("times must lie in [0, t_max]")
     x_arr = np.array([p[1] for p in points])  # (P, d)
 
-    gap = np.abs(t_arr[:, None] - t_arr[None, :])
-    t_min = np.minimum(t_arr[:, None], t_arr[None, :])
+    lam = lattice.xi_squared.ravel()
+    order = np.argsort(lam)[::-1]  # sum low modes last: they carry most weight
+    lam = lam[order]
+    xi = np.stack([lattice.xi_component(ax).ravel()[order]
+                   for ax in range(lattice.dim)])  # (d, N)
+    ph = x_arr @ xi  # (P, N)
+    F = np.concatenate([np.cos(ph), np.sin(ph)], axis=1)  # (P, 2N)
+    w = ((2.0 * np.pi) ** (-lattice.dim) * lattice.freq_cell_volume
+         * measure.density(lam))
 
-    lam_flat = lattice.xi_squared.ravel()
-    g_flat = measure.density(lattice.xi_squared).ravel()
-    xi_mat = np.stack([np.broadcast_to(
-        lattice.xi_component(ax).reshape([1] * ax + [-1] + [1] * (lattice.dim - 1 - ax)),
-        lattice.n_space).ravel() for ax in range(lattice.dim)], axis=1)  # (N, d)
-
-    c = (2.0 * np.pi) ** (-lattice.dim) * lattice.freq_cell_volume
-    R = np.zeros((P, P))
-    order = np.argsort(lam_flat)  # sum low modes last: they carry most weight
-    for idx in order[::-1]:
-        w = c * g_flat[idx]
-        if w == 0.0:
-            continue
-        tf = _time_factor(lam_flat[idx], gap, t_min)
-        ph = x_arr @ xi_mat[idx]  # (P,)
-        cp, sp = np.cos(ph), np.sin(ph)
-        R += (w * tf) * (np.outer(cp, cp) + np.outer(sp, sp))
+    times, time_of = np.unique(t_arr, return_inverse=True)
+    R = np.empty((P, P))
+    for a, t in enumerate(times):
+        V = w * _time_factor(lam, np.abs(t - times)[:, None],
+                             np.minimum(t, times)[:, None])  # (times, N)
+        V = np.concatenate([V, V], axis=1)
+        rows = time_of == a
+        R[rows] = F[rows] @ (F * V[time_of]).T
+    R = 0.5 * (R + R.T)
 
     trace = float(np.trace(R))
     eigvals, eigvecs = np.linalg.eigh(R)
@@ -364,15 +358,11 @@ def column_gram_check(measure: SpectralMeasure, lattice: SpaceTimeLattice,
     column weights.
     """
     from .rkhs import heat_column
-    def phys(pt):
-        m, j = pt
-        return (m * lattice.dt,
-                tuple((int(ji) % lattice.n_space[ax]) * lattice.extent[ax]
-                      / lattice.n_space[ax] for ax, ji in enumerate(j)))
     col_p = heat_column(measure, lattice, p_idx, kind="covariance")
     col_q = heat_column(measure, lattice, q_idx, kind="covariance")
     gram = rkhs_inner_raw(col_p.phi, col_q.phi, measure)
-    oracle = covariance_oracle(measure, lattice, phys(p_idx), phys(q_idx))
+    oracle = covariance_oracle(measure, lattice, lattice.grid_point(*p_idx),
+                               lattice.grid_point(*q_idx))
     scale = max(abs(oracle), abs(gram), 1e-300)
     return {"gram": gram, "oracle": oracle,
             "rel_gap": abs(gram - oracle) / scale}

@@ -78,13 +78,9 @@ class NoiseModel:
         return self.measure.density(self.lattice.xi_squared)
 
     @cached_property
-    def increment_variance(self) -> np.ndarray:
-        """Var eta_k(xi) = dt * g * dxi^d."""
-        return self.lattice.dt * self.density * self.lattice.freq_cell_volume
-
-    @cached_property
     def increment_scale(self) -> np.ndarray:
-        return np.sqrt(self.increment_variance)
+        """Standard deviation of eta_k(xi): sqrt(dt * g * dxi^d)."""
+        return np.sqrt(self.lattice.dt * self.density * self.lattice.freq_cell_volume)
 
     @cached_property
     def tau(self) -> np.ndarray:
@@ -314,22 +310,25 @@ def mc_representer_field(model: NoiseModel, phi: Field, seed: int,
                          n_paths: int) -> dict:
     """Monte Carlo E[M(phi) u(t, x)] at every lattice point at once.
 
-    Returns ``estimate`` and ``stderr`` arrays of shape (n_time+1,)+n_space;
-    intended for modest lattices (per-path products are kept in memory and
-    reduced in path order).
+    Returns ``estimate`` and ``stderr`` arrays of shape (n_time+1,)+n_space,
+    from running sums of the per-path products M(phi) u and of their squares,
+    added in path order (memory does not grow with ``n_paths``).
     """
     lat = model.lattice
     F = forward_transform(phi).values
-    prods = np.zeros((n_paths, lat.n_time + 1) + lat.n_space)
+    s1 = np.zeros((lat.n_time + 1,) + lat.n_space)
+    s2 = np.zeros_like(s1)
     for p in range(n_paths):
         traj = np.zeros((lat.n_time + 1,) + lat.n_space, dtype=np.complex128)
         M = 0.0 + 0.0j
         for k, eta, amps in _ou_steps(model, seed, p):
             M += np.sum(F[k] * np.conj(eta))
             traj[k + 1] = amps
-        prods[p] = M.real * _amplitudes_to_physical(lat, traj)
-    estimate = np.sum(prods, axis=0) / n_paths
-    var = np.maximum(np.sum(prods ** 2, axis=0) / n_paths - estimate ** 2, 0.0)
+        prod = M.real * _amplitudes_to_physical(lat, traj)
+        s1 += prod
+        s2 += prod * prod
+    estimate = s1 / n_paths
+    var = np.maximum(s2 / n_paths - estimate ** 2, 0.0)
     return {"estimate": estimate, "stderr": np.sqrt(var / n_paths),
             "n_paths": n_paths}
 

@@ -96,6 +96,32 @@ def test_markov_rect_without_t_exit_1(tmp_path, capsys):
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
+_MARKOV = {"band_widths": [1], "rect": {"t": [0.125, 0.375], "x": [[1.0, 3.0]]}}
+_RIEMANN = {"levels": [8, 16, 32], "extent": [8.0], "t_max": 1.0}
+
+
+@pytest.mark.parametrize("command, section", [
+    ("markov", {"markov": {**_MARKOV, "time_stride": 0}}),
+    ("markov", {"markov": {**_MARKOV, "space_stride": 0}}),
+    ("covariance", {"covariance": {"n_points": 2, "n_paths": -3}}),
+    ("covariance", {"covariance": {"n_points": 2, "n_paths": 1}}),
+    ("covariance", {"covariance": {"n_points": 0, "n_paths": 2}}),
+    ("rkhs", {"rkhs": {"samples": 50}}),
+    ("sample", {"sample": {"n_paths": 0}}),
+    ("riemann", {"riemann": {**_RIEMANN, "bump": {"x_width": [0]}}}),
+    ("riemann", {"riemann": {**_RIEMANN, "bump": {"t_width": -0.1}}}),
+], ids=["time_stride_0", "space_stride_0", "covariance_paths_-3",
+        "covariance_paths_1", "covariance_points_0", "rkhs_samples_50",
+        "sample_paths_0", "riemann_x_width_0",
+        "riemann_t_width_negative"])
+def test_bad_config_value_exit_1(tmp_path, capsys, command, section):
+    cfg = _base_cfg(tmp_path / "out", **section)
+    path = _write_cfg(tmp_path / "c.yaml", cfg)
+    assert main([command, "--config", path, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 # -- sample ----------------------------------------------------------------------
 
 

@@ -194,6 +194,18 @@ def test_field_container_rejects_truncated_file(tmp_path):
             read_field(p)
 
 
+def test_field_container_rejects_unknown_codes(tmp_path):
+    lat = _lat(n=16, nt=8)
+    p = tmp_path / "f.fld"
+    write_field(random_band_limited(lat, np.random.default_rng(7)), p)
+    full = p.read_bytes()
+    for offset in (48, 56):  # representation and layout codes for dim 1
+        p.write_bytes(full[:offset] + (7).to_bytes(8, "little")
+                      + full[offset + 8:])
+        with pytest.raises(ValueError, match="unknown representation/layout"):
+            read_field(p)
+
+
 def test_step_tables_match_closed_forms():
     lat = SpaceTimeLattice(2, (8.0, 4.0), (16, 8), 1.0, 10)
     dt = lat.dt
@@ -213,6 +225,12 @@ def test_point_phase_is_plane_wave_at_grid_point():
     xi0, xi1 = np.meshgrid(*lat.xi_axes(), indexing="ij")
     np.testing.assert_allclose(lat.point_phase(j),
                                np.exp(1j * (xi0 * x[0] + xi1 * x[1])), atol=1e-13)
+
+
+def test_grid_point_wraps_space_indices():
+    lat = SpaceTimeLattice(2, (8.0, 4.0), (16, 8), 1.0, 4)
+    assert lat.grid_point(3, (5, 19)) == (3 * 0.25, (5 * 8.0 / 16, 3 * 4.0 / 8))
+    assert lat.grid_point(0, (-1, 0)) == (0.0, (15 * 8.0 / 16, 0.0))
 
 
 def test_field_shape_validation():

@@ -71,17 +71,20 @@ def test_oracle_rejects_times_outside_horizon():
 
 
 def test_assemble_matches_oracle_entrywise():
-    lat = _lat()
-    m = SpectralMeasure("bessel", 2.0, 1)
     points = [(0.25, (0.5,)), (0.5, (2.0,)), (0.5, (6.5,)),
               (0.75, (4.0,)), (1.0, (1.0,)), (1.0, (7.5,))]
-    C = assemble_covariance(m, lat, points)
-    assert C.values.shape == (6, 6)
-    for i, p in enumerate(points):
-        for j, q in enumerate(points):
-            assert C.values[i, j] == pytest.approx(
-                covariance_oracle(m, lat, p, q), rel=1e-10, abs=1e-14)
-    assert C.meta["min_eig"] >= -1e-10 * C.meta["trace"]
+    cases = [(_lat(), SpectralMeasure("bessel", 2.0, 1), points),
+             (SpaceTimeLattice(2, (8.0, 4.0), (8, 8), 1.0, 8),
+              SpectralMeasure("bessel", 4.0, 2),
+              [(t, (x, 0.5 * x + 1.0)) for t, (x,) in points])]
+    for lat, m, pts in cases:
+        C = assemble_covariance(m, lat, pts)
+        assert C.values.shape == (6, 6)
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
+                assert C.values[i, j] == pytest.approx(
+                    covariance_oracle(m, lat, p, q), rel=1e-10, abs=1e-14)
+        assert C.meta["min_eig"] >= -1e-10 * C.meta["trace"]
 
 
 def test_assemble_handles_duplicated_points():
@@ -107,6 +110,17 @@ def test_column_gram_matches_oracle():
     for p_idx, q_idx in [((4, (3,)), (12, (20,))),
                          ((8, (10,)), (8, (10,))),
                          ((16, (0,)), (2, (31,)))]:
+        rep = column_gram_check(m, lat, p_idx, q_idx)
+        assert rep["rel_gap"] <= 1e-8
+
+
+@pytest.mark.parametrize("m", [SpectralMeasure("bessel", 4.0, 2),
+                               SpectralMeasure("riesz", 1.0, 2),
+                               SpectralMeasure("heat_kernel", 0.01, 2)],
+                         ids=lambda m: m.family.value)
+def test_column_gram_matches_oracle_2d(m):
+    lat = SpaceTimeLattice(2, (8.0, 8.0), (8, 8), 1.0, 8)
+    for p_idx, q_idx in [((2, (1, 6)), (6, (5, 3))), ((8, (0, 7)), (8, (0, 7)))]:
         rep = column_gram_check(m, lat, p_idx, q_idx)
         assert rep["rel_gap"] <= 1e-8
 
