@@ -54,8 +54,8 @@ def main():
     print("\n=== reproducing identity via heat-kernel columns ===")
     h_vals = elem.h.real_values()
     for point in [(8, (10,)), (24, (48,))]:
-        col = heat_column(m, lat, point, kind="reproducing")
-        direct = inner0(phi, col.phi, m).real
+        col = heat_column(lat, point, kind="reproducing")
+        direct = inner0(phi, col, m).real
         solver = h_vals[point[0], point[1][0]]
         print(f"  point {point}: inner0(phi, column) = {direct:+.8f}   "
               f"h = {solver:+.8f}")

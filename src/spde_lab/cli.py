@@ -1,14 +1,15 @@
 """Command-line front end: deterministic experiment runs from YAML configs.
 
-Commands: sample, covariance, rkhs, markov, riemann.  Each reads one config
-file, runs the corresponding module, and writes JSON (machine) plus CSV
-(table) reports into the output directory.  Outputs are reproducible
-bit-for-bit from (config, seed): no timestamps, sorted keys, fixed float
-repr.  Every report embeds the resolved-config hash, the RNG scheme id, the
-lattice parameters, and the spectral truncation-tail estimate.
+Commands: sample, covariance, rkhs, markov, riemann.  ``_run`` checks the
+whole config against the command's schema in ``_COMMANDS`` (each key's type,
+default and range, cross-key rules; unknown keys are errors), builds the
+measure and lattice, calls the ``cmd_*`` function, which only computes, and
+writes its JSON report, CSV table and summary line.  Outputs are bit-for-bit
+reproducible from (config, seed); every report embeds the raw-config hash,
+the RNG scheme id, the lattice and the spectral truncation tail.
 
-Exit codes: 0 success / 1 usage or config error / 2 precondition failure
-(e.g. non-integrable spectral density) / 3 internal invariant violation.
+Exit codes: 0 success / 1 usage or config error (library ValueErrors on config
+values included) / 2 Dalang condition failure / 3 invariant violation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
+from numbers import Real
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -27,7 +31,7 @@ import yaml
 from . import pde, rkhs, markov, simulate, spectral
 from .errors import DalangConditionError, InvariantViolation
 from .lattice import SpaceTimeLattice, random_band_limited
-from .spectral import SpectralMeasure
+from .spectral import Family, SpectralMeasure
 
 
 class UsageError(Exception):
@@ -43,14 +47,8 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="spde-lab",
                 description="spectral stochastic-heat-equation laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("sample", "draw solution paths and save the ensemble"),
-        ("covariance", "Monte Carlo covariance vs the frequency-sum oracle"),
-        ("rkhs", "representer chain, duality, and norm-equivalence reports"),
-        ("markov", "conditional-covariance screening across band widths"),
-        ("riemann", "Riemann-sum convergence study of the backward convolution"),
-    ]:
-        q = sub.add_parser(name, help=doc)
+    for name, (cmd, _, _) in _COMMANDS.items():
+        q = sub.add_parser(name, help=cmd.__doc__.splitlines()[0])
         q.add_argument("--config", required=True, help="YAML config path")
         q.add_argument("--seed", type=int, default=None, help="override config seed")
         q.add_argument("--out", default=None, help="override output directory")
@@ -58,184 +56,240 @@ def _build_parser() -> _Parser:
     return p
 
 
-# -- config plumbing -----------------------------------------------------------
+# -- config schema -------------------------------------------------------------
+
+
+class _Key(NamedTuple):
+    """One config key.  ``kind``: int, float (ints accepted, stored as float),
+    Real (any number, kept as written), bool, str, a tuple of allowed strings,
+    a nested schema dict, or [kind] for a list (parsed to a tuple).
+    ``default``: ``...`` if required, None if optional without a default.
+    ``bound``: (description, predicate) on the value or on each list item."""
+
+    kind: object
+    default: object = ...
+    bound: tuple = None
+
+
+def _at_least(low: int) -> tuple:
+    return (f"at least {low}", lambda v: v >= low)
+
+
+_POSITIVE = ("positive", lambda v: v > 0)
+_POWER_OF_TWO = ("a power of two", lambda v: v > 0 and v & (v - 1) == 0)
+# the Philox key is two unsigned 64-bit words
+_SEED = ("in [0, 2^64)", lambda v: 0 <= v < 2 ** 64)
+
+_MEASURE = {"family": _Key(tuple(f.value for f in Family)),
+            "alpha": _Key(float, 0.0),
+            "dim": _Key(int, 1, _at_least(1)),
+            "formal": _Key(bool, False)}
+_LATTICE = {"dim": _Key(int, bound=_at_least(1)),
+            "extent": _Key([float], bound=_POSITIVE),
+            "n_space": _Key([int], bound=_POWER_OF_TWO),
+            "t_max": _Key(float, bound=_POSITIVE),
+            "n_time": _Key(int, bound=_at_least(1))}
+_TOP = {"seed": _Key(int, 0, _SEED), "out": _Key(str, None),
+        "measure": _Key(_MEASURE), "lattice": _Key(_LATTICE)}
+
+_SAMPLE = {"n_paths": _Key(int, 4, _at_least(1))}
+_COVARIANCE = {"n_points": _Key(int, 8, _at_least(1)),
+               "n_paths": _Key(int, 4000, _at_least(2))}
+_RKHS = {"samples": _Key(int, 120, _at_least(100))}
+_MARKOV = {"band_widths": _Key([Real], bound=_POSITIVE),
+           "rect": _Key({"t": _Key([float]), "x": _Key([[float]])}),
+           "time_stride": _Key(int, 1, _at_least(1)),
+           "space_stride": _Key(int, 1, _at_least(1)),
+           "oracle_refine": _Key(int, 1, _POWER_OF_TWO)}
+_RIEMANN = {"levels": _Key([int], [8, 16, 32], _at_least(1)),
+            "extent": _Key([float], [8.0], _POSITIVE),
+            "t_max": _Key(float, 1.0, _POSITIVE),
+            # absent bump keys are derived from extent and t_max
+            "bump": _Key({"t_center": _Key(float, None),
+                          "t_width": _Key(float, None, _POSITIVE),
+                          "x_center": _Key([float], None),
+                          "x_width": _Key([float], None, _POSITIVE)}, {})}
+
+# Cross-key rules: (message, predicate on the parsed config).
+_DIM_RULE = ("measure.dim must equal lattice.dim", lambda c: "lattice" not in c
+             or c["measure"]["dim"] == c["lattice"]["dim"])
+_MARKOV_RULES = [
+    ("markov.band_widths must not be empty", lambda c: c["markov"]["band_widths"]),
+    ("markov.rect needs t: [lo, hi] and one x pair [lo, hi] per lattice axis",
+     lambda c: [len(v) for v in (c["markov"]["rect"]["t"], *c["markov"]["rect"]["x"])]
+     == [2] * (1 + c["lattice"]["dim"])),
+]
+_RIEMANN_RULES = [
+    ("riemann.levels needs at least 3 entries, strictly increasing",
+     lambda c: len(c["riemann"]["levels"]) >= 3 and all(
+         b > a for a, b in zip(c["riemann"]["levels"], c["riemann"]["levels"][1:]))),
+    ("riemann.extent, bump.x_center and bump.x_width need one entry per "
+     "measure dimension", lambda c: all(
+         len(v) == c["measure"]["dim"] for k, v in c["riemann"]["bump"].items()
+         if k.startswith("x_")) and len(c["riemann"]["extent"]) == c["measure"]["dim"]),
+]
+
+
+def _value(key: _Key, v, where: str):
+    """``v`` checked against ``key``; nested mappings and lists recurse."""
+    kind = key.kind
+    if isinstance(kind, dict):
+        return _parse(kind, v, where + ".")
+    if isinstance(kind, list):
+        if not isinstance(v, list):
+            raise UsageError(f"{where} must be a list, got {v!r}")
+        item = _Key(kind[0], bound=key.bound)
+        return tuple(_value(item, x, f"{where}[{i}]") for i, x in enumerate(v))
+    if kind in (float, Real):
+        ok = (isinstance(v, (int, float)) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max)
+        what = "a finite number"
+        v = float(v) if ok and kind is float else v
+    elif kind is int:
+        ok, what = isinstance(v, int) and not isinstance(v, bool), "an integer"
+    elif isinstance(kind, tuple):
+        ok, what = isinstance(v, str) and v in kind, "one of " + ", ".join(kind)
+    else:
+        ok, what = isinstance(v, kind), f"a {kind.__name__}"
+    if not ok:
+        raise UsageError(f"{where} must be {what}, got {v!r}")
+    if key.bound and not key.bound[1](v):
+        raise UsageError(f"{where} must be {key.bound[0]}, got {v!r}")
+    return v
+
+
+def _parse(schema: dict, raw, prefix: str = "") -> dict:
+    """``raw`` checked key by key against ``schema``, defaults filled in."""
+    if not isinstance(raw, dict):
+        raise UsageError(f"{prefix[:-1] or 'config'} must be a mapping, got {raw!r}")
+    unknown = [k for k in raw if k not in schema]
+    if unknown:
+        raise UsageError(f"unknown config key {prefix}{unknown[0]}; "
+                         f"allowed: {', '.join(schema)}")
+    parsed = {}
+    for name, key in schema.items():
+        if name in raw:
+            parsed[name] = _value(key, raw[name], prefix + name)
+        elif key.default is ...:
+            raise UsageError(f"config is missing required key {prefix + name!r}")
+        elif key.default is not None:
+            parsed[name] = _value(key, key.default, prefix + name)
+    return parsed
+
+
+def _check_config(command: str, raw) -> dict:
+    """The config for ``command`` parsed against its schema and rules."""
+    _, schema, rules = _COMMANDS[command]
+    cfg = _parse(schema, raw)
+    for message, holds in [_DIM_RULE, *rules]:
+        if not holds(cfg):
+            raise UsageError(message)
+    return cfg
+
+
+# -- running a command ---------------------------------------------------------
 
 
 def _load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise UsageError(f"config is not valid YAML: {exc}") from exc
+        cfg = yaml.safe_load(Path(path).read_text())
+    except (OSError, yaml.YAMLError) as exc:
+        raise UsageError(f"cannot load config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config must be a mapping")
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise UsageError(f"config is missing required key {key!r}")
-    return cfg[key]
-
-
-def _int_param(params: dict, section: str, key: str, default: int,
-               low: int) -> int:
-    """``params[key]`` (or ``default``) as an integer of at least ``low``."""
-    try:
-        value = int(params.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{section}.{key} must be an integer: {exc}") from exc
-    if value < low:
-        raise UsageError(f"{section}.{key} must be at least {low}, got {value}")
-    return value
-
-
-def _measure_from(cfg: dict) -> SpectralMeasure:
-    spec = _require(cfg, "measure")
-    try:
-        return SpectralMeasure(spec["family"], float(spec.get("alpha", 0.0)),
-                               int(spec.get("dim", 1)), bool(spec.get("formal", False)))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"bad measure spec: {exc}") from exc
-
-
-def _lattice_from(cfg: dict) -> SpaceTimeLattice:
-    spec = _require(cfg, "lattice")
-    try:
-        return SpaceTimeLattice(int(spec["dim"]),
-                                tuple(float(v) for v in spec["extent"]),
-                                tuple(int(v) for v in spec["n_space"]),
-                                float(spec["t_max"]), int(spec["n_time"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"bad lattice spec: {exc}") from exc
-
-
-def _resolve(args, cfg: dict) -> dict:
-    """Apply CLI overrides; returns the resolved experiment dict that is hashed."""
-    resolved = dict(cfg)
-    if args.seed is not None:
-        resolved["seed"] = int(args.seed)
-    resolved.setdefault("seed", 0)
-    try:
-        seed = int(resolved["seed"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"seed must be an integer: {exc}") from exc
-    if not 0 <= seed < 2 ** 64:  # the Philox key is two unsigned 64-bit words
-        raise UsageError(f"seed must lie in [0, 2^64), got {seed}")
-    resolved["command"] = args.command
-    resolved.pop("out", None)  # the location does not affect results
-    return resolved
-
-
-def _out_dir(args, cfg: dict) -> Path:
-    out = args.out or cfg.get("out")
-    if not out:
-        raise UsageError("no output directory: set --out or config key 'out'")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _sanitize(obj):
+    """Plain JSON values: numpy to Python, tuples to lists, inf/nan to None."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
-def _config_sha(resolved: dict) -> str:
-    blob = json.dumps(_sanitize(resolved), sort_keys=True,
-                      separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _base_report(resolved: dict, measure: SpectralMeasure,
-                 lattice: SpaceTimeLattice) -> dict:
-    tail = spectral.truncation_tail(measure, lattice.nyquist_radius)
-    return {
-        "config_sha256": _config_sha(resolved),
-        "rng_id": simulate.RNG_ID,
-        "lattice": lattice.to_dict(),
-        "measure": {"family": measure.family.value, "alpha": measure.alpha,
-                    "dim": measure.dim, "formal": measure.formal},
-        "truncation_tail": tail if math.isfinite(tail) else None,
-    }
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, fieldnames, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n",
-                           extrasaction="ignore")
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: _sanitize(v) for k, v in row.items()})
+def _lattice_fields(measure: SpectralMeasure, lattice: SpaceTimeLattice) -> dict:
+    tail = spectral.truncation_tail(measure, lattice.nyquist_radius)
+    return {"lattice": lattice.to_dict(), "truncation_tail": tail}
 
 
-def _say(args, msg: str) -> None:
+def _run(args) -> None:
+    raw = _load_config(args.config)
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    cfg = _check_config(args.command, raw)
+    measure = SpectralMeasure(**cfg["measure"])
+    lattice = SpaceTimeLattice(**cfg["lattice"]) if "lattice" in cfg else None
+    out = args.out or cfg.get("out")
+    if not out:
+        raise UsageError("no output directory: set --out or config key 'out'")
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory: {exc}") from exc
+
+    # the hash covers the raw config, not the parsed one with its defaults
+    hashed = {**raw, "seed": cfg["seed"], "command": args.command}
+    hashed.pop("out", None)  # the location does not affect results
+    blob = json.dumps(_sanitize(hashed), sort_keys=True, separators=(",", ":"))
+    base = {"config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+            "rng_id": simulate.RNG_ID, "measure": cfg["measure"]}
+    if lattice is not None:
+        base.update(_lattice_fields(measure, lattice))
+
+    cmd = _COMMANDS[args.command][0]
+    fields, table, summary = cmd(cfg, measure, lattice, out, base)
+    _write_json(out / f"{args.command}_report.json", {**base, **fields})
+    if table is not None:
+        name, columns, rows = table
+        with open(out / name, "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n",
+                               extrasaction="ignore")
+            w.writeheader()
+            for row in rows:
+                w.writerow({k: _sanitize(v) for k, v in row.items()})
     if not args.quiet:
-        print(msg)
+        print(summary)
 
 
-# -- commands ------------------------------------------------------------------
+# -- commands: each takes (cfg, measure, lattice, out, base) and returns
+# (report fields, CSV table as (file name, columns, rows) or None, summary).
 
 
-def cmd_sample(args, cfg: dict, resolved: dict) -> None:
-    measure = _measure_from(cfg)
-    lattice = _lattice_from(cfg)
-    params = cfg.get("sample", {})
-    n_paths = _int_param(params, "sample", "n_paths", 4, 1)
-    out = _out_dir(args, cfg)
-    ens = simulate.simulate_u(measure, lattice, int(resolved["seed"]), n_paths)
-    report = _base_report(resolved, measure, lattice)
+def cmd_sample(cfg, measure, lattice, out, base):
+    """draw solution paths and save the ensemble"""
+    n_paths = cfg["sample"]["n_paths"]
+    ens = simulate.simulate_u(measure, lattice, cfg["seed"], n_paths)
     manifest_path = ens.save(out / "ensemble")
-    report.update({"n_paths": n_paths, "ensemble_manifest": manifest_path.name,
-                   "files": n_paths})
     # fold the experiment hash into the saved manifest as well
     manifest = json.loads(manifest_path.read_text())
-    manifest["config_sha256"] = report["config_sha256"]
-    manifest["truncation_tail"] = report["truncation_tail"]
-    manifest_path.write_text(json.dumps(_sanitize(manifest), sort_keys=True,
-                                        indent=2) + "\n")
-    _write_json(out / "sample_report.json", report)
-    _say(args, f"sample: wrote {n_paths} paths to {out / 'ensemble'}")
+    manifest["config_sha256"] = base["config_sha256"]
+    manifest["truncation_tail"] = base["truncation_tail"]
+    _write_json(manifest_path, manifest)
+    return ({"n_paths": n_paths, "ensemble_manifest": manifest_path.name,
+             "files": n_paths},
+            None, f"sample: wrote {n_paths} paths to {out / 'ensemble'}")
 
 
-def cmd_covariance(args, cfg: dict, resolved: dict) -> None:
-    measure = _measure_from(cfg)
-    lattice = _lattice_from(cfg)
-    params = cfg.get("covariance", {})
-    n_points = _int_param(params, "covariance", "n_points", 8, 1)
-    n_paths = _int_param(params, "covariance", "n_paths", 4000, 2)
-    seed = int(resolved["seed"])
-    out = _out_dir(args, cfg)
-
-    rng = np.random.default_rng([seed, 101])
-    pts_idx = []
-    for _ in range(n_points):
-        m = int(rng.integers(1, lattice.n_time + 1))
-        j = tuple(int(rng.integers(0, n)) for n in lattice.n_space)
-        pts_idx.append((m, j))
+def cmd_covariance(cfg, measure, lattice, out, base):
+    """Monte Carlo covariance vs the frequency-sum oracle"""
+    n_points, n_paths = cfg["covariance"]["n_points"], cfg["covariance"]["n_paths"]
+    rng = np.random.default_rng([cfg["seed"], 101])
+    pts_idx = [(int(rng.integers(1, lattice.n_time + 1)),  # time, then space
+                tuple(int(rng.integers(0, n)) for n in lattice.n_space))
+               for _ in range(n_points)]
     pts_phys = [lattice.grid_point(m, j) for m, j in pts_idx]
-
     model = simulate.NoiseModel(measure, lattice)
-    mc = simulate.mc_covariance(model, pts_idx, seed, n_paths)
+    mc = simulate.mc_covariance(model, pts_idx, cfg["seed"], n_paths)
     C = markov.assemble_covariance(measure, lattice, pts_phys)
-
     rows = []
     max_z = 0.0
     for a in range(n_points):
@@ -245,168 +299,114 @@ def cmd_covariance(args, cfg: dict, resolved: dict) -> None:
             max_z = max(max_z, abs(z))
             rows.append({"i": a, "j": b, "oracle": C.values[a, b],
                          "mc": mc["estimate"][a, b], "stderr": se, "z": z})
-    report = _base_report(resolved, measure, lattice)
-    report.update({"n_points": n_points, "n_paths": n_paths,
-                   "max_abs_z": max_z, "points": pts_phys,
-                   "psd_min_eig": C.meta["min_eig"]})
-    _write_json(out / "covariance_report.json", report)
-    _write_csv(out / "covariance_pairs.csv",
-               ["i", "j", "oracle", "mc", "stderr", "z"], rows)
-    _say(args, f"covariance: max |z| = {max_z:.3f} over "
-               f"{len(rows)} pairs ({n_paths} paths)")
+    return ({"n_points": n_points, "n_paths": n_paths, "max_abs_z": max_z,
+             "points": pts_phys, "psd_min_eig": C.meta["min_eig"]},
+            ("covariance_pairs.csv", ["i", "j", "oracle", "mc", "stderr", "z"],
+             rows),
+            f"covariance: max |z| = {max_z:.3f} over {len(rows)} pairs "
+            f"({n_paths} paths)")
 
 
-def cmd_rkhs(args, cfg: dict, resolved: dict) -> None:
-    measure = _measure_from(cfg)
-    lattice = _lattice_from(cfg)
-    params = cfg.get("rkhs", {})
-    samples = _int_param(params, "rkhs", "samples", 120, 100)
-    seed = int(resolved["seed"])
-    out = _out_dir(args, cfg)
-
-    rng = np.random.default_rng([seed, 202])
+def cmd_rkhs(cfg, measure, lattice, out, base):
+    """representer chain, duality, and norm-equivalence reports"""
+    rng = np.random.default_rng([cfg["seed"], 202])
     phi = random_band_limited(lattice, rng)
     elem = rkhs.representer(phi, measure)
     eta = random_band_limited(lattice, rng)
     dual = rkhs.duality_check(elem, eta)
     if dual["gap"] > 1e-8:
-        raise InvariantViolation(
-            f"duality gap {dual['gap']:.3e} > 1e-8")
-    study = rkhs.norm_equivalence_study(samples, measure, lattice,
-                                        seed=seed + 1)
-    report = _base_report(resolved, measure, lattice)
-    report.update({"probe": elem.probe_report, "duality": dual,
-                   "norm_equivalence": study})
-    _write_json(out / "rkhs_report.json", report)
-    _write_csv(out / "rkhs_probes.csv",
-               ["point", "direct", "solver", "rel_err"],
-               [{**p, "point": json.dumps(p["point"])}
-                for p in elem.probe_report["probes"]])
-    _say(args, f"rkhs: probe max rel err {elem.probe_report['max_rel_err']:.2e}, "
-               f"duality gap {dual['gap']:.2e}, "
-               f"norm-equivalence spread {study['spread']:.2f}")
+        raise InvariantViolation(f"duality gap {dual['gap']:.3e} > 1e-8")
+    study = rkhs.norm_equivalence_study(cfg["rkhs"]["samples"], measure,
+                                        lattice, seed=cfg["seed"] + 1)
+    return ({"probe": elem.probe_report, "duality": dual,
+             "norm_equivalence": study},
+            # str() of a probe's integer point list is its JSON text
+            ("rkhs_probes.csv", ["point", "direct", "solver", "rel_err"],
+             elem.probe_report["probes"]),
+            f"rkhs: probe max rel err {elem.probe_report['max_rel_err']:.2e}, "
+            f"duality gap {dual['gap']:.2e}, "
+            f"norm-equivalence spread {study['spread']:.2f}")
 
 
-def cmd_markov(args, cfg: dict, resolved: dict) -> None:
-    measure = _measure_from(cfg)
-    lattice = _lattice_from(cfg)
-    params = cfg.get("markov", {})
-    widths = list(params.get("band_widths", []))
-    if not widths:
-        raise UsageError("markov.band_widths is empty")
-    rect_cfg = params.get("rect")
-    if not rect_cfg:
-        raise UsageError("markov.rect is required: {t: [lo, hi], x: [[lo, hi], ...]}")
-    try:
-        rect = (tuple(float(v) for v in rect_cfg["t"]),) + tuple(
-            tuple(float(v) for v in pair) for pair in rect_cfg["x"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError("markov.rect must be {t: [lo, hi], x: [[lo, hi], ...]}, "
-                         f"got {rect_cfg!r}") from exc
-    t_stride = _int_param(params, "markov", "time_stride", 1, 1)
-    s_stride = _int_param(params, "markov", "space_stride", 1, 1)
-    refine = _int_param(params, "markov", "oracle_refine", 1, 1)
-    out = _out_dir(args, cfg)
-
-    points = []
-    for m in range(1, lattice.n_time + 1, t_stride):
-        for j in np.ndindex(*lattice.n_space):
-            if any(ji % s_stride for ji in j):
-                continue
-            points.append(lattice.grid_point(m, j))
-    if len(points) > 4096:
-        raise UsageError(f"{len(points)} points exceed the dense limit 4096; "
-                         "increase time_stride/space_stride")
+def cmd_markov(cfg, measure, lattice, out, base):
+    """conditional-covariance screening across band widths"""
+    params = cfg["markov"]
+    widths = params["band_widths"]
+    rect = (params["rect"]["t"],) + params["rect"]["x"]
+    refine = params["oracle_refine"]
+    points = [lattice.grid_point(m, j)
+              for m in range(1, lattice.n_time + 1, params["time_stride"])
+              for j in np.ndindex(*lattice.n_space)
+              if not any(ji % params["space_stride"] for ji in j)]
 
     # The covariance oracle sums over the quadrature lattice's frequency
     # grid; refining it in space sharpens the oracle toward the continuum
     # covariance while the observation grid (points, band widths) is fixed.
-    quad_lattice = lattice
-    if refine > 1:
-        quad_lattice = SpaceTimeLattice(
-            lattice.dim, lattice.extent,
-            tuple(n * refine for n in lattice.n_space),
-            lattice.t_max, lattice.n_time)
+    quad_lattice = replace(lattice, n_space=tuple(n * refine
+                                                  for n in lattice.n_space))
     C = markov.assemble_covariance(measure, quad_lattice, points)
     study = markov.band_width_study(C, rect, widths, partition_lattice=lattice)
-    increasing_widths = all(b > a for a, b in zip(widths, widths[1:]))
-    if increasing_widths and not study["non_increasing"]:
-        raise InvariantViolation(
-            "screening statistic max_abs_cond_corr is not non-increasing "
-            "in band width")
-    report = _base_report(resolved, measure, lattice)
-    report.update({"band_widths": widths, "rect": rect,
-                   "n_points": len(points),
-                   "oracle_refine": refine,
-                   "non_increasing": study["non_increasing"],
-                   "psd_min_eig": C.meta["min_eig"],
-                   "rows": study["rows"]})
-    _write_json(out / "markov_report.json", report)
-    _write_csv(out / "markov_bands.csv",
-               ["band_width", "max_abs_cond_corr", "inside", "band",
-                "outside", "ridge", "band_condition_number"],
-               study["rows"])
+    if all(b > a for a, b in zip(widths, widths[1:])) and not study["non_increasing"]:
+        raise InvariantViolation("screening statistic max_abs_cond_corr is not "
+                                 "non-increasing in band width")
     stats = ", ".join(f"{r['band_width']}: {r['max_abs_cond_corr']:.2e}"
                       for r in study["rows"])
-    _say(args, f"markov: max |conditional corr| by band width -> {stats}")
+    return ({"band_widths": widths, "rect": rect, "n_points": len(points),
+             "oracle_refine": refine, "non_increasing": study["non_increasing"],
+             "psd_min_eig": C.meta["min_eig"], "rows": study["rows"]},
+            ("markov_bands.csv",
+             ["band_width", "max_abs_cond_corr", "inside", "band", "outside",
+              "ridge", "band_condition_number"],
+             study["rows"]),
+            f"markov: max |conditional corr| by band width -> {stats}")
 
 
-def cmd_riemann(args, cfg: dict, resolved: dict) -> None:
-    measure = _measure_from(cfg)
-    params = cfg.get("riemann", {})
-    levels = [int(v) for v in params.get("levels", [8, 16, 32])]
-    extent = tuple(float(v) for v in params.get("extent", [8.0]))
-    t_max = float(params.get("t_max", 1.0))
-    bump_cfg = params.get("bump", {})
-    bump = pde.BumpSpec(
-        t_center=float(bump_cfg.get("t_center", 0.5 * t_max)),
-        t_width=float(bump_cfg.get("t_width", 0.25 * t_max)),
-        x_center=tuple(float(v) for v in bump_cfg.get(
-            "x_center", [0.5 * L for L in extent])),
-        x_width=tuple(float(v) for v in bump_cfg.get(
-            "x_width", [0.15 * L for L in extent])),
-    )
-    if not all(w > 0 for w in (bump.t_width, *bump.x_width)):
-        raise UsageError("riemann.bump widths must be positive, got t_width "
-                         f"{bump.t_width} and x_width {list(bump.x_width)}")
-    out = _out_dir(args, cfg)
-    study = pde.riemann_convergence_study(measure, bump, levels, extent, t_max)
+def cmd_riemann(cfg, measure, lattice, out, base):
+    """Riemann-sum convergence study of the backward convolution"""
+    params = cfg["riemann"]
+    extent, t_max = params["extent"], params["t_max"]
+    bump = pde.BumpSpec(**{"t_center": 0.5 * t_max, "t_width": 0.25 * t_max,
+                           "x_center": tuple(0.5 * L for L in extent),
+                           "x_width": tuple(0.15 * L for L in extent),
+                           **params["bump"]})
+    study = pde.riemann_convergence_study(measure, bump, params["levels"],
+                                          extent, t_max)
     if not study["monotone"]:
         raise InvariantViolation(
             "riemann study error column norm0_error is not strictly decreasing")
     ref_lat = SpaceTimeLattice(len(extent), extent,
                                (study["reference"]["n_space"],) * len(extent),
                                t_max, study["reference"]["n_time"])
-    report = _base_report(resolved, measure, ref_lat)
-    report.update({"levels": levels, "rows": study["rows"],
-                   "monotone": study["monotone"],
-                   "min_observed_order": study["min_observed_order"]})
-    _write_json(out / "riemann_report.json", report)
-    _write_csv(out / "riemann_levels.csv",
-               ["level", "n_space", "n_time", "norm0_error", "observed_order"],
-               study["rows"])
-    _say(args, "riemann: errors " +
-         ", ".join(f"{r['norm0_error']:.3e}" for r in study["rows"]))
+    return ({**_lattice_fields(measure, ref_lat), "levels": params["levels"],
+             "rows": study["rows"], "monotone": study["monotone"],
+             "min_observed_order": study["min_observed_order"]},
+            ("riemann_levels.csv",
+             ["level", "n_space", "n_time", "norm0_error", "observed_order"],
+             study["rows"]),
+            "riemann: errors " + ", ".join(f"{r['norm0_error']:.3e}"
+                                           for r in study["rows"]))
 
 
-_COMMANDS = {"sample": cmd_sample, "covariance": cmd_covariance,
-             "rkhs": cmd_rkhs, "markov": cmd_markov, "riemann": cmd_riemann}
+# command -> (function, schema, cross-key rules)
+_COMMANDS = {
+    "sample": (cmd_sample, {**_TOP, "sample": _Key(_SAMPLE, {})}, []),
+    "covariance": (cmd_covariance, {**_TOP, "covariance": _Key(_COVARIANCE, {})}, []),
+    "rkhs": (cmd_rkhs, {**_TOP, "rkhs": _Key(_RKHS, {})}, []),
+    "markov": (cmd_markov, {**_TOP, "markov": _Key(_MARKOV, {})}, _MARKOV_RULES),
+    # riemann accepts a lattice for config reuse; it is checked, not used
+    "riemann": (cmd_riemann, {**_TOP, "lattice": _Key(_LATTICE, None),
+                              "riemann": _Key(_RIEMANN, {})}, _RIEMANN_RULES),
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _load_config(args.config)
-        resolved = _resolve(args, cfg)
-        _COMMANDS[args.command](args, cfg, resolved)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _run(_build_parser().parse_args(argv))
+    except (UsageError, ValueError) as exc:
+        # one line, whatever the message (YAML errors span several)
+        print(f"usage error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 1
     except DalangConditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

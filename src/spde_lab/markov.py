@@ -166,21 +166,16 @@ def region_partition(lattice: SpaceTimeLattice, points, rect_physical,
         raise ValueError("band width must be positive")
     cells = [lattice.dt] + [lattice.extent[ax] / lattice.n_space[ax]
                             for ax in range(lattice.dim)]
+    if len(rect_physical) != len(cells):
+        raise ValueError("rect needs one (lo, hi) pair for time and each axis")
     rect_idx = tuple((lo / cell, hi / cell)
                      for (lo, hi), cell in zip(rect_physical, cells))
-    signed = np.zeros(len(points))
-    for i, (t, x) in enumerate(points):
-        coords = [t / cells[0]] + [x[ax] / cells[1 + ax]
-                                   for ax in range(lattice.dim)]
-        margins = []
-        deficits = []
-        for c, (lo, hi) in zip(coords, rect_idx):
-            margins.append(min(c - lo, hi - c))
-            deficits.append(max(lo - c, c - hi, 0.0))
-        if all(m > 0 for m in margins):
-            signed[i] = min(margins)
-        else:
-            signed[i] = -max(deficits)
+    lo, hi = np.array(rect_idx).T
+    coords = np.array([(t, *x) for t, x in points]).reshape(-1, len(cells)) / cells
+    margins = np.minimum(coords - lo, hi - coords)
+    deficits = np.maximum(np.maximum(lo - coords, coords - hi), 0.0)
+    signed = np.where(np.all(margins > 0, axis=1), margins.min(axis=1),
+                      -deficits.max(axis=1))
     inside = np.nonzero(signed > band_width)[0]
     band = np.nonzero(np.abs(signed) <= band_width)[0]
     outside = np.nonzero(signed < -band_width)[0]
@@ -358,9 +353,9 @@ def column_gram_check(measure: SpectralMeasure, lattice: SpaceTimeLattice,
     column weights.
     """
     from .rkhs import heat_column
-    col_p = heat_column(measure, lattice, p_idx, kind="covariance")
-    col_q = heat_column(measure, lattice, q_idx, kind="covariance")
-    gram = rkhs_inner_raw(col_p.phi, col_q.phi, measure)
+    col_p = heat_column(lattice, p_idx, kind="covariance")
+    col_q = heat_column(lattice, q_idx, kind="covariance")
+    gram = rkhs_inner_raw(col_p, col_q, measure)
     oracle = covariance_oracle(measure, lattice, lattice.grid_point(*p_idx),
                                lattice.grid_point(*q_idx))
     scale = max(abs(oracle), abs(gram), 1e-300)

@@ -115,8 +115,8 @@ def _probe_check(phi: Field, h: Field, measure: SpectralMeasure) -> dict:
     worst = 0.0
     probes = []
     for m, idx in _default_probes(lat):
-        col = heat_column(measure, lat, (m, idx), kind="reproducing")
-        direct = rkhs_inner_raw(phi, col.phi, measure)
+        col = heat_column(lat, (m, idx), kind="reproducing")
+        direct = rkhs_inner_raw(phi, col, measure)
         solver = float(h_vals[(m,) + idx])
         err = abs(direct - solver) / scale if scale > 0 else 0.0
         worst = max(worst, err)
@@ -146,17 +146,19 @@ def element_from_h(h: Field, measure: SpectralMeasure) -> RkhsElement:
     if scale > 0 and float(np.abs(H[0]).max()) > 1e-10 * scale:
         raise ValueError("h must vanish at t = 0")
     F1 = np.zeros_like(H)
-    for k in range(lat.n_time):
-        F1[k] = (H[k + 1] - lat.decay * H[k]) / lat.duhamel_weight
+    F1[:-1] = (H[1:] - lat.decay * H[:-1]) / lat.duhamel_weight
     phi1 = inverse_transform(Field(lat, Representation.FREQUENCY,
                                    Layout.SPACE_TIME, F1))
     phi = _phi_from_phi1(phi1, measure)
     return RkhsElement(h, phi1, phi, measure, markov_guarantee(measure), None)
 
 
-def heat_column(measure: SpectralMeasure, lattice: SpaceTimeLattice, point,
-                kind: str = "reproducing") -> RkhsElement:
+def heat_column(lattice: SpaceTimeLattice, point,
+                kind: str = "reproducing") -> Field:
     """Discretized heat-kernel column g_{t,x} for the grid point (m, j).
+
+    The column is a space-time test field; it does not depend on the
+    spectral measure, which enters only through the pairing inner0.
 
     Both kinds share the per-mode profile exp(-i xi . x) a^{m-1-k} on steps
     k < m and differ only in a scalar weight per mode:
@@ -189,11 +191,8 @@ def heat_column(measure: SpectralMeasure, lattice: SpaceTimeLattice, point,
         F[m - 1] = c_d * phase * weight
         for k in range(m - 2, -1, -1):
             F[k] = lattice.decay * F[k + 1]
-    psi = inverse_transform(Field(lattice, Representation.FREQUENCY,
-                                  Layout.SPACE_TIME, F))
-    phi1 = _phi1_from_phi(psi, measure)
-    h = solve_forward(phi1)
-    return RkhsElement(h, phi1, psi, measure, markov_guarantee(measure), None)
+    return inverse_transform(Field(lattice, Representation.FREQUENCY,
+                                   Layout.SPACE_TIME, F))
 
 
 def rkhs_inner_raw(phi_a: Field, phi_b: Field, measure: SpectralMeasure) -> float:

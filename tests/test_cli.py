@@ -2,11 +2,14 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
-from spde_lab.cli import main
+from spde_lab.cli import _check_config, main
+
+DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.yaml"))
 
 
 def _write_cfg(path, cfg):
@@ -110,16 +113,58 @@ _RIEMANN = {"levels": [8, 16, 32], "extent": [8.0], "t_max": 1.0}
     ("sample", {"sample": {"n_paths": 0}}),
     ("riemann", {"riemann": {**_RIEMANN, "bump": {"x_width": [0]}}}),
     ("riemann", {"riemann": {**_RIEMANN, "bump": {"t_width": -0.1}}}),
+    ("sample", {"sample": 5}),
+    ("markov", {"markov": {**_MARKOV, "band_widths": 3}}),
+    ("markov", {"markov": {**_MARKOV, "band_widths": ["x"]}}),
+    ("riemann", {"riemann": {**_RIEMANN, "extent": 8}}),
+    ("sample", {"out": "file/out"}),
+    ("sample", {"out": "file"}),
+    ("sample", {"sample": {"n_pathz": 2}}),
+    ("sample", {"smaple": {"n_paths": 2}}),
+    ("rkhs", {"rkhs": {"samples": 100.7}}),
+    ("sample", {"seed": 1.5}),
+    ("sample", {"seed": True}),
+    ("markov", {"markov": {**_MARKOV,
+                           "rect": {"t": [0.125, 0.375],
+                                    "x": [[1.0, 3.0], [0.0, 0.1]]}}}),
+    ("riemann", {"riemann": {**_RIEMANN, "levels": [8, 16]}}),
+    ("riemann", {"riemann": {**_RIEMANN, "levels": [16, 8, 32]}}),
+    ("riemann", {"riemann": {**_RIEMANN, "levels": ["a", "b", "c"]}}),
+    ("riemann", {"riemann": {**_RIEMANN, "bump": {"t_width": "x"}}}),
+    ("riemann", {"riemann": {**_RIEMANN, "bump": {"x_center": [4.0, 100.0]}}}),
+    ("markov", {"markov": {**_MARKOV, "band_widths": [0]}}),
+    ("markov", {"markov": {**_MARKOV, "oracle_refine": 3}}),
+    ("rkhs", {"measure": {"family": "white", "dim": 1}}),
+    ("covariance", {"measure": {"family": "bessel", "alpha": 2.0, "dim": 2},
+                    "covariance": {"n_points": 2, "n_paths": 2}}),
+    ("markov", {"measure": {"family": "bessel", "alpha": 2.0, "dim": 2},
+                "markov": _MARKOV}),
 ], ids=["time_stride_0", "space_stride_0", "covariance_paths_-3",
         "covariance_paths_1", "covariance_points_0", "rkhs_samples_50",
         "sample_paths_0", "riemann_x_width_0",
-        "riemann_t_width_negative"])
+        "riemann_t_width_negative", "sample_not_mapping",
+        "band_widths_scalar", "band_widths_text", "riemann_extent_scalar",
+        "out_under_file", "out_is_file", "sample_key_typo", "top_key_typo",
+        "rkhs_samples_float", "seed_float", "seed_bool", "rect_x_extra_pair",
+        "riemann_levels_two", "riemann_levels_unordered",
+        "riemann_levels_text", "riemann_t_width_text",
+        "riemann_x_center_extra", "band_widths_0", "oracle_refine_3",
+        "rkhs_white_measure", "covariance_measure_dim_2",
+        "markov_measure_dim_2"])
 def test_bad_config_value_exit_1(tmp_path, capsys, command, section):
-    cfg = _base_cfg(tmp_path / "out", **section)
+    cfg = {**_base_cfg(tmp_path / "out"), **section}
+    (tmp_path / "file").write_text("")
+    cfg["out"] = str(tmp_path / cfg["out"])  # relative outs sit beside "file"
     path = _write_cfg(tmp_path / "c.yaml", cfg)
     assert main([command, "--config", path, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_config_matches_schema(path):
+    """Each demo config passes its command's schema (the command is not run)."""
+    _check_config(path.stem, yaml.safe_load(path.read_text()))
 
 
 # -- sample ----------------------------------------------------------------------

@@ -153,6 +153,38 @@ def test_region_partition_disjoint_cover():
         region_partition(lat, points, ((0.25, 0.75), (2.0, 6.0)), 0.0)
 
 
+def _signed_distance_loop(lat, points, rect):
+    """Per-point reference: signed Chebyshev distance in cell units."""
+    cells = [lat.dt] + [lat.extent[ax] / lat.n_space[ax] for ax in range(lat.dim)]
+    rect_idx = [(lo / c, hi / c) for (lo, hi), c in zip(rect, cells)]
+    signed = []
+    for t, x in points:
+        coords = [t / cells[0]] + [x[ax] / cells[1 + ax] for ax in range(lat.dim)]
+        margins = [min(c - lo, hi - c) for c, (lo, hi) in zip(coords, rect_idx)]
+        deficits = [max(lo - c, c - hi, 0.0) for c, (lo, hi) in zip(coords, rect_idx)]
+        signed.append(min(margins) if all(m > 0 for m in margins)
+                      else -max(deficits))
+    return np.array(signed)
+
+
+def test_region_partition_matches_pointwise_rule():
+    rng = np.random.default_rng(5)
+    for lat, rect in [(_lat(), ((0.25, 0.75), (2.0, 6.0))),
+                      (SpaceTimeLattice(2, (8.0, 4.0), (16, 8), 1.0, 8),
+                       ((0.25, 0.75), (2.0, 6.0), (1.0, 2.5)))]:
+        points = [(float(rng.uniform(0, lat.t_max)),
+                   tuple(float(rng.uniform(0, L)) for L in lat.extent))
+                  for _ in range(300)]
+        signed = _signed_distance_loop(lat, points, rect)
+        for width in (0.5, 1.0, 2.5):
+            part = region_partition(lat, points, rect, width)
+            assert part.inside.tolist() == np.nonzero(signed > width)[0].tolist()
+            assert part.band.tolist() == np.nonzero(np.abs(signed) <= width)[0].tolist()
+            assert part.outside.tolist() == np.nonzero(signed < -width)[0].tolist()
+    with pytest.raises(ValueError):
+        region_partition(_lat(), points[:3], rect, 1.0)  # 2-D rect on a 1-D lattice
+
+
 def _grid_points(lat):
     dx = lat.extent[0] / lat.n_space[0]
     return [(m * lat.dt, (j * dx,))

@@ -105,8 +105,8 @@ def test_heat_column_reproducing_identity():
     elem = representer(phi, m)
     scale = np.max(np.abs(elem.h.values.real))
     for point in [(4, (0,)), (16, (7,)), (9, (31,))]:
-        col = heat_column(m, lat, point, kind="reproducing")
-        val = inner0(phi, col.phi, m).real
+        col = heat_column(lat, point, kind="reproducing")
+        val = inner0(phi, col, m).real
         h_val = elem.h.values.real[point[0], point[1][0]]
         assert abs(val - h_val) <= 1e-10 * scale
 
@@ -118,9 +118,9 @@ def test_heat_column_covariance_gram():
     lat = _lat()
     m = SpectralMeasure("bessel", 2.0, 1)
     p_idx, q_idx = (8, (3,)), (16, (20,))
-    col_p = heat_column(m, lat, p_idx, kind="covariance")
-    col_q = heat_column(m, lat, q_idx, kind="covariance")
-    val = inner0(col_p.phi, col_q.phi, m).real
+    col_p = heat_column(lat, p_idx, kind="covariance")
+    col_q = heat_column(lat, q_idx, kind="covariance")
+    val = inner0(col_p, col_q, m).real
     dx = lat.extent[0] / lat.n_space[0]
     p = (p_idx[0] * lat.dt, (p_idx[1][0] * dx,))
     q = (q_idx[0] * lat.dt, (q_idx[1][0] * dx,))
