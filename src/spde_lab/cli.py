@@ -127,6 +127,8 @@ _RIEMANN_RULES = [
      "measure dimension", lambda c: all(
          len(v) == c["measure"]["dim"] for k, v in c["riemann"]["bump"].items()
          if k.startswith("x_")) and len(c["riemann"]["extent"]) == c["measure"]["dim"]),
+    ("riemann.levels must end in a power of two: the reference lattice has "
+     "2 x levels[-1] sites", lambda c: _POWER_OF_TWO[1](c["riemann"]["levels"][-1])),
 ]
 
 
@@ -412,6 +414,10 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant failed: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a defect, not a bad input: still one line
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return 4
     return 0
 
 

@@ -22,6 +22,9 @@ solution driven by the g-multiplied test field.
 Randomness is counter-based and reproducible: each (seed, path) pair keys an
 independent Philox stream, and each time step advances the counter to a fixed
 block offset, so a path's values do not depend on how many paths are drawn.
+Draws stay keyed per (seed, path, step); they are transformed and stepped per
+chunk of paths, which changes no value.  A ``NoiseModel`` re-keys one cached
+generator for every draw, so it must not be shared across threads.
 """
 
 from __future__ import annotations
@@ -37,17 +40,20 @@ import numpy as np
 
 from .errors import DalangConditionError
 from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
-                      forward_transform, inverse_transform, read_field,
+                      forward_transform, inverse_transform, norm0, read_field,
                       write_field)
 from .spectral import SpectralMeasure, dalang_condition
 
 STEP_BLOCK = 1 << 24
 RNG_ID = ("philox4x64 key=[seed,path], counter advanced step*2^24; "
           "per step standard_normal((2,)+n_space) C-order, unit field fftn(e)/sqrt(N)")
+CHUNK_BYTES = 1 << 16  # unit fields per chunk; more adds memory, not speed
 
 
-def _spatial_fft_axes(dim: int) -> tuple:
-    return tuple(range(1, dim + 1))
+def _unit_fields(lat: SpaceTimeLattice, e: np.ndarray) -> np.ndarray:
+    """Hermitian unit fields fftn(e)/sqrt(N) over the trailing space axes of ``e``."""
+    axes = tuple(range(e.ndim - lat.dim, e.ndim))
+    return np.fft.fftn(e, axes=axes) / math.sqrt(math.prod(lat.n_space))
 
 
 @dataclass(frozen=True)
@@ -99,20 +105,26 @@ class NoiseModel:
 
     # -- randomness ------------------------------------------------------
 
-    def unit_pair(self, seed: int, path: int, step: int):
-        """Two independent Hermitian unit fields (E|z|^2 = 1 per mode)."""
-        bg = np.random.Philox(key=np.array([seed, path], dtype=np.uint64))
-        bg.advance(step * STEP_BLOCK)
-        rng = np.random.Generator(bg)
-        e = rng.standard_normal((2,) + self.lattice.n_space)
-        n_total = float(np.prod(self.lattice.n_space))
-        z = np.fft.fftn(e, axes=_spatial_fft_axes(self.lattice.dim)) / math.sqrt(n_total)
-        return z[0], z[1]
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=0))
+
+    def unit_pair(self, seed: int, path: int, step: int) -> np.ndarray:
+        """Raw normals (2,)+n_space of draw (seed, path, step), for ``_unit_fields``.
+
+        Re-keying the one Philox to key [seed, path], counter step*STEP_BLOCK,
+        gives the numbers of a fresh Philox(key) advanced by step*STEP_BLOCK.
+        """
+        self._rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (step * STEP_BLOCK, 0, 0, 0), "key": (seed, path)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return self._rng.standard_normal((2,) + self.lattice.n_space)
 
     def increment_amplitudes(self, seed: int, path: int, step: int) -> np.ndarray:
         """Amplitudes eta_k(xi) of the step-``step`` noise increment."""
-        z1, _ = self.unit_pair(seed, path, step)
-        return self.increment_scale * z1
+        z = _unit_fields(self.lattice, self.unit_pair(seed, path, step))
+        return self.increment_scale * z[0]
 
 
 def sample_noise_increment(model: NoiseModel, seed: int, path: int, step: int) -> Field:
@@ -129,35 +141,46 @@ def increment_to_physical(model: NoiseModel, eta: np.ndarray) -> Field:
     return inverse_transform(f)
 
 
-def _ou_steps(model: NoiseModel, seed: int, path: int):
-    """Step one path: yields (k, eta_k, u^(t_{k+1})) for k = 0 .. n_time-1.
+def _ou_chunks(model: NoiseModel, seed: int, paths: range):
+    """Step ``paths`` a chunk at a time, yielding (chunk, eta, amps).
 
-    Draws one unit pair per step; the yielded amplitude array is fresh each
-    step, so callers may keep it.
+    ``chunk`` is a sub-range of ``paths``; eta_k(xi) is (c, n_time)+n_space
+    and u^(t_k, xi) is (c, n_time+1)+n_space, u^(t_0) = 0.  Values do not
+    depend on the chunking: each (path, step) draws one unit pair.
     """
     lat = model.lattice
-    decay, tau = lat.decay, model.tau
     rho = lat.duhamel_weight / lat.dt
-    amps = np.zeros(lat.n_space, dtype=np.complex128)
-    for k in range(lat.n_time):
-        z1, z2 = model.unit_pair(seed, path, k)
-        eta = model.increment_scale * z1
-        amps = decay * amps + (rho * eta + tau * z2)
-        yield k, eta, amps
+    size = max(1, CHUNK_BYTES // (lat.n_time * 2 * math.prod(lat.n_space) * 16))
+    for start in range(0, len(paths), size):
+        chunk = paths[start:start + size]
+        raw = [[model.unit_pair(seed, p, k) for k in range(lat.n_time)] for p in chunk]
+        z = _unit_fields(lat, np.array(raw))
+        eta = model.increment_scale * z[:, :, 0]
+        eps = rho * eta + model.tau * z[:, :, 1]
+        amps = np.zeros((len(chunk), lat.n_time + 1) + lat.n_space, dtype=np.complex128)
+        for k in range(lat.n_time):
+            np.multiply(lat.decay, amps[:, k], out=amps[:, k + 1])
+            amps[:, k + 1] += eps[:, k]
+        yield chunk, eta, amps
 
 
 def _pathwise_integrals(model: NoiseModel, FF: np.ndarray, seed: int,
-                        path: int) -> np.ndarray:
-    """M(phi_j) = sum_k sum_xi Fphi_j(t_k, xi) conj(eta_k(xi)) for one path.
+                        paths: range) -> np.ndarray:
+    """M(phi_j) = sum_k sum_xi Fphi_j(t_k, xi) conj(eta_k(xi)) for each path.
 
     ``FF`` holds the transforms at the integration times, shape
-    (J, n_time, prod(n_space)); returns the J real integrals.
+    (J, n_time, prod(n_space)); returns (len(paths), J) real integrals, each
+    path paired step by step in step order (a chunk-wide gemm rounds apart).
     """
-    acc = np.zeros(FF.shape[0], dtype=np.complex128)
-    for k in range(model.lattice.n_time):
-        eta_conj = np.conj(model.increment_amplitudes(seed, path, k)).ravel()
-        acc += FF[:, k] @ eta_conj
-    return acc.real
+    FF_k = [FF[:, k] for k in range(FF.shape[1])]
+    rows = []
+    for chunk, eta, _ in _ou_chunks(model, seed, paths):
+        for eta_p in np.conj(eta).reshape(len(chunk), len(FF_k), -1):
+            acc = np.zeros(FF.shape[0], dtype=np.complex128)
+            for F_k, eta_k in zip(FF_k, eta_p):
+                acc += F_k @ eta_k
+            rows.append(acc.real)
+    return np.array(rows).reshape(len(paths), FF.shape[0])
 
 
 def _integration_transforms(lat: SpaceTimeLattice, phis) -> np.ndarray:
@@ -173,19 +196,15 @@ def _integration_transforms(lat: SpaceTimeLattice, phis) -> np.ndarray:
 
 def spectral_amplitudes(model: NoiseModel, seed: int, path: int) -> np.ndarray:
     """One path of solution amplitudes u^(t_k, xi), shape (n_time+1,)+n_space."""
-    lat = model.lattice
-    out = np.zeros((lat.n_time + 1,) + lat.n_space, dtype=np.complex128)
-    for k, _, amps in _ou_steps(model, seed, path):
-        out[k + 1] = amps
-    return out
+    _, _, amps = next(_ou_chunks(model, seed, range(path, path + 1)))
+    return amps[0]
 
 
 def _amplitudes_to_physical(lat: SpaceTimeLattice, amps: np.ndarray) -> np.ndarray:
     """Real field values from amplitudes along the trailing space axes."""
     axes = tuple(range(amps.ndim - lat.dim, amps.ndim))
-    n_total = float(np.prod(lat.n_space))
     scale = (2.0 * np.pi) ** (-lat.dim / 2.0)
-    return scale * n_total * np.real(np.fft.ifftn(amps, axes=axes))
+    return scale * math.prod(lat.n_space) * np.real(np.fft.ifftn(amps, axes=axes))
 
 
 @dataclass
@@ -259,9 +278,8 @@ def simulate_u(measure: SpectralMeasure, lattice: SpaceTimeLattice, seed: int,
     """Sample ``n_paths`` exact-in-law solution paths from zero initial data."""
     model = NoiseModel(measure, lattice)
     values = np.zeros((n_paths, lattice.n_time + 1) + lattice.n_space)
-    for p in range(n_paths):
-        values[p] = _amplitudes_to_physical(
-            lattice, spectral_amplitudes(model, seed, p))
+    for chunk, _, amps in _ou_chunks(model, seed, range(n_paths)):
+        values[chunk.start:chunk.stop] = _amplitudes_to_physical(lattice, amps)
     return PathEnsemble(lattice, measure, seed, n_paths, values)
 
 
@@ -271,7 +289,7 @@ def simulate_u(measure: SpectralMeasure, lattice: SpaceTimeLattice, seed: int,
 def stochastic_integral(model: NoiseModel, phi: Field, seed: int, path: int) -> float:
     """M(phi) = sum_{k<n_time} sum_xi Fphi(t_k, xi) conj(eta_k(xi)) for one path."""
     FF = _integration_transforms(model.lattice, [phi])
-    return float(_pathwise_integrals(model, FF, seed, path)[0])
+    return float(_pathwise_integrals(model, FF, seed, range(path, path + 1))[0, 0])
 
 
 def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int) -> list:
@@ -283,12 +301,8 @@ def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int) -> list:
     value ||phi_j||_0^2; the z-score uses the chi-squared standard deviation
     of a Gaussian sample variance, sd = exact * sqrt(2 / (n_paths - 1)).
     """
-    from .lattice import norm0
-
     FF = _integration_transforms(model.lattice, phis)
-    samples = np.zeros((n_paths, len(phis)))
-    for p in range(n_paths):
-        samples[p] = _pathwise_integrals(model, FF, seed, p)
+    samples = _pathwise_integrals(model, FF, seed, range(n_paths))
     rows = []
     for j, phi in enumerate(phis):
         exact = norm0(phi, model.measure) ** 2
@@ -318,15 +332,14 @@ def mc_representer_field(model: NoiseModel, phi: Field, seed: int,
     F = forward_transform(phi).values
     s1 = np.zeros((lat.n_time + 1,) + lat.n_space)
     s2 = np.zeros_like(s1)
-    for p in range(n_paths):
-        traj = np.zeros((lat.n_time + 1,) + lat.n_space, dtype=np.complex128)
-        M = 0.0 + 0.0j
-        for k, eta, amps in _ou_steps(model, seed, p):
-            M += np.sum(F[k] * np.conj(eta))
-            traj[k + 1] = amps
-        prod = M.real * _amplitudes_to_physical(lat, traj)
-        s1 += prod
-        s2 += prod * prod
+    for _, eta, amps in _ou_chunks(model, seed, range(n_paths)):
+        M = np.zeros(len(eta), dtype=np.complex128)
+        for k in range(lat.n_time):
+            M += np.sum((F[k] * np.conj(eta[:, k])).reshape(len(eta), -1), axis=-1)
+        M = M.real.reshape((-1,) + (1,) * (lat.dim + 1))
+        for prod in M * _amplitudes_to_physical(lat, amps):
+            s1 += prod
+            s2 += prod * prod
     estimate = s1 / n_paths
     var = np.maximum(s2 / n_paths - estimate ** 2, 0.0)
     return {"estimate": estimate, "stderr": np.sqrt(var / n_paths),
@@ -344,14 +357,14 @@ def mc_covariance(model: NoiseModel, points, seed: int, n_paths: int) -> dict:
     P = len(points)
     times = np.array([int(m) for m, _ in points], dtype=int)
     phases = np.stack([lat.point_phase(j).ravel() for _, j in points])  # (P, N)
-    at_step = [np.nonzero(times == k + 1)[0] for k in range(lat.n_time)]
+    rows_at = [(m, rows, phases[rows]) for m in range(1, lat.n_time + 1)
+               if (rows := np.nonzero(times == m)[0]).size]
     c_d = (2.0 * np.pi) ** (-lat.dim / 2.0)
     us = np.zeros((n_paths, P))  # points at t = 0 keep u = 0
-    for p in range(n_paths):
-        for k, _, amps in _ou_steps(model, seed, p):
-            rows = at_step[k]
-            if rows.size:
-                us[p, rows] = (c_d * (phases[rows] @ amps.ravel())).real
+    for chunk, _, amps in _ou_chunks(model, seed, range(n_paths)):
+        for p, amps_p in zip(chunk, amps):
+            for m, rows, ph in rows_at:
+                us[p, rows] = (c_d * (ph @ amps_p[m].ravel())).real
     mean = np.zeros((P, P))
     stderr = np.zeros((P, P))
     for a in range(P):

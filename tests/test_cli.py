@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from spde_lab import cli
 from spde_lab.cli import _check_config, main
 
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.yaml"))
@@ -130,6 +131,7 @@ _RIEMANN = {"levels": [8, 16, 32], "extent": [8.0], "t_max": 1.0}
     ("riemann", {"riemann": {**_RIEMANN, "levels": [8, 16]}}),
     ("riemann", {"riemann": {**_RIEMANN, "levels": [16, 8, 32]}}),
     ("riemann", {"riemann": {**_RIEMANN, "levels": ["a", "b", "c"]}}),
+    ("riemann", {"riemann": {**_RIEMANN, "levels": [10, 20, 30]}}),
     ("riemann", {"riemann": {**_RIEMANN, "bump": {"t_width": "x"}}}),
     ("riemann", {"riemann": {**_RIEMANN, "bump": {"x_center": [4.0, 100.0]}}}),
     ("markov", {"markov": {**_MARKOV, "band_widths": [0]}}),
@@ -150,7 +152,7 @@ _RIEMANN = {"levels": [8, 16, 32], "extent": [8.0], "t_max": 1.0}
         "riemann_levels_text", "riemann_t_width_text",
         "riemann_x_center_extra", "band_widths_0", "oracle_refine_3",
         "rkhs_white_measure", "covariance_measure_dim_2",
-        "markov_measure_dim_2"])
+        "markov_measure_dim_2", "riemann_levels_last_not_power_of_two"])
 def test_bad_config_value_exit_1(tmp_path, capsys, command, section):
     cfg = {**_base_cfg(tmp_path / "out"), **section}
     (tmp_path / "file").write_text("")
@@ -159,6 +161,20 @@ def test_bad_config_value_exit_1(tmp_path, capsys, command, section):
     assert main([command, "--config", path, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_unexpected_error_exit_4(tmp_path, capsys, monkeypatch):
+    """A defect inside a command exits 4 with one line and no traceback."""
+    def broken(*args):
+        """Fail like a defect would."""  # the parser builds help from docstrings
+        raise RuntimeError("lost a path\nsomewhere")
+
+    monkeypatch.setitem(cli._COMMANDS, "sample", (broken, *cli._COMMANDS["sample"][1:]))
+    path = _write_cfg(tmp_path / "c.yaml", _base_cfg(tmp_path / "out"))
+    assert main(["sample", "--config", path, "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: lost a path somewhere\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)

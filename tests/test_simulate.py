@@ -1,6 +1,8 @@
 """Noise sampling, exact path law, stochastic integrals, Monte Carlo engines."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,12 +17,15 @@ from spde_lab import (
     mc_covariance,
     mc_isometry,
     mc_isometry_batch,
+    mc_representer_field,
     norm0,
     random_band_limited,
     sample_noise_increment,
     simulate_u,
+    spectral_amplitudes,
     stochastic_integral,
 )
+from spde_lab import simulate
 from spde_lab.markov import covariance_oracle
 
 
@@ -41,6 +46,36 @@ def test_existence_condition_enforced():
                    SpaceTimeLattice(2, (4.0, 4.0), (8, 8), 0.5, 4))
 
 
+def _fresh_draw(model, seed, path, step):
+    """Raw normals of (seed, path, step) from a newly built, advanced Philox."""
+    bg = np.random.Philox(key=np.array([seed, path], dtype=np.uint64))
+    bg.advance(step * simulate.STEP_BLOCK)
+    return np.random.Generator(bg).standard_normal((2,) + model.lattice.n_space)
+
+
+def _reference_amplitudes(model, seed, path):
+    """The per-step sampler: a fresh Philox, one FFT and one scalar OU step per step."""
+    lat = model.lattice
+    rho = lat.duhamel_weight / lat.dt
+    axes = tuple(range(1, lat.dim + 1))
+    out = np.zeros((lat.n_time + 1,) + lat.n_space, dtype=np.complex128)
+    amps = out[0]
+    for k in range(lat.n_time):
+        e = _fresh_draw(model, seed, path, k)
+        z1, z2 = np.fft.fftn(e, axes=axes) / math.sqrt(float(np.prod(lat.n_space)))
+        eta = model.increment_scale * z1
+        amps = lat.decay * amps + (rho * eta + model.tau * z2)
+        out[k + 1] = amps
+    return out
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def test_unit_pair_determinism_and_independence():
     model = _model()
     z1a, z2a = model.unit_pair(9, 3, 7)
@@ -51,6 +86,9 @@ def test_unit_pair_determinism_and_independence():
     assert not np.array_equal(z1a, z1c)
     z1d, _ = model.unit_pair(9, 4, 7)
     assert not np.array_equal(z1a, z1d)
+    for seed, path, step in [(9, 3, 7), (0, 0, 0), (2**64 - 1, 5, 1000)]:
+        assert (model.unit_pair(seed, path, step).tobytes()
+                == _fresh_draw(model, seed, path, step).tobytes())
 
 
 def test_unit_field_has_unit_mode_variance():
@@ -59,7 +97,8 @@ def test_unit_field_has_unit_mode_variance():
     acc = np.zeros(16)
     n = 400
     for p in range(n):
-        z1, _ = model.unit_pair(1234, p, 0)
+        z1, _ = simulate._unit_fields(model.lattice, model.unit_pair(1234, p, 0))
+        assert np.allclose(z1[1:], np.conj(z1[:0:-1]))  # Hermitian
         acc += np.abs(z1) ** 2
     acc /= n
     # 400 samples of a unit-mean variable: allow 5 sigma of chi2 noise
@@ -95,6 +134,59 @@ def test_simulate_is_deterministic_and_path_count_oblivious():
     a = simulate_u(meas, lat, seed=42, n_paths=7).values
     b = simulate_u(meas, lat, seed=42, n_paths=3).values
     assert a[:3].tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lat", [_lat(n=32, nt=8),
+                                 SpaceTimeLattice(2, (4.0, 4.0), (8, 8), 0.5, 8)],
+                         ids=["1d", "2d"])
+def test_sampler_matches_per_step_reference(lat):
+    """Chunked draws, transforms and OU steps give the per-step sampler's bytes."""
+    meas = SpectralMeasure("bessel", 2.0 * lat.dim, lat.dim)
+    model = NoiseModel(meas, lat)
+    refs = [_reference_amplitudes(model, 42, p) for p in range(5)]
+    for p in (0, 3):
+        assert spectral_amplitudes(model, 42, p).tobytes() == refs[p].tobytes()
+    scale = (2.0 * np.pi) ** (-lat.dim / 2.0) * float(np.prod(lat.n_space))
+    axes = tuple(range(1, lat.dim + 1))
+    phys = [scale * np.real(np.fft.ifftn(r, axes=axes)) for r in refs]
+    assert simulate_u(meas, lat, 42, 5).values.tobytes() == np.stack(phys).tobytes()
+
+
+def test_chunk_size_does_not_change_results(monkeypatch):
+    """One path per chunk, the default chunk and one chunk give equal bytes."""
+    model = _model(n=16, nt=8)
+    lat = model.lattice
+    rng = np.random.default_rng(6)
+    phis = [random_band_limited(lat, rng) for _ in range(2)]
+    pts = [(8, (0,)), (3, (5,)), (8, (11,)), (0, (2,))]
+    results = []
+    for chunk_bytes in (1, simulate.CHUNK_BYTES, 1 << 24):
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", chunk_bytes)
+        iso = mc_isometry_batch(model, phis, seed=4, n_paths=37)
+        cov = mc_covariance(model, pts, seed=4, n_paths=37)
+        rf = mc_representer_field(model, phis[0], seed=4, n_paths=37)
+        results.append(_digest(
+            simulate_u(model.measure, lat, 4, 37).values,
+            np.array([[r["mc_var"], r["z_score"]] for r in iso]),
+            cov["estimate"], cov["stderr"], rf["estimate"], rf["stderr"]))
+    assert results[0] == results[1] == results[2]
+
+
+def test_mc_results_match_pinned_digests():
+    """sha256 of small isometry and representer-field runs, as computed by the
+    per-step sampler (numpy 2.4, OpenBLAS, x86-64; another BLAS may round
+    differently)."""
+    model = _model(n=16, nt=8)
+    rng = np.random.default_rng(4)
+    phis = [random_band_limited(model.lattice, rng) for _ in range(3)]
+    rows = mc_isometry_batch(model, phis, seed=8, n_paths=50)
+    assert _digest(np.array([[r["mc_var"], r["exact"], r["z_score"]] for r in rows])) == (
+        "09f0a5d2af89e5e9ea73d46f35503f21de7afbafa1eac3472921f7991ffdbd49")
+    model = _model(n=32, nt=8)
+    phi = random_band_limited(model.lattice, np.random.default_rng(5))
+    rf = mc_representer_field(model, phi, seed=77, n_paths=40)
+    assert _digest(rf["estimate"], rf["stderr"]) == (
+        "107ab4481b2c45dfad3fda7a96b85f13efe71b4406b5e20295b64b49f7b1ddb8")
 
 
 def test_single_path_variance_matches_oracle():
