@@ -219,11 +219,6 @@ class Field:
                 f"shape {expected} for layout {self.layout.value}"
             )
 
-    @property
-    def spatial_axes(self) -> tuple:
-        off = 0 if self.layout is Layout.SPACE_ONLY else 1
-        return tuple(range(off, off + self.lattice.dim))
-
     def copy(self) -> "Field":
         return Field(self.lattice, self.representation, self.layout, self.values.copy())
 
@@ -245,24 +240,32 @@ def zero_field(lattice: SpaceTimeLattice, layout: Layout,
 # -- transforms ---------------------------------------------------------------
 
 
+def spectral_transform(values: np.ndarray, lattice: SpaceTimeLattice,
+                       inverse: bool = False) -> np.ndarray:
+    """Scaled spatial DFT over the trailing ``lattice.dim`` axes (see the module
+    conventions), or its exact inverse; one call transforms a stack of fields."""
+    axes = tuple(range(-lattice.dim, 0))
+    if inverse:
+        scale = (2.0 * np.pi) ** (lattice.dim / 2.0) / lattice.cell_volume
+        return np.fft.ifftn(values, axes=axes) * scale
+    scale = (2.0 * np.pi) ** (-lattice.dim / 2.0) * lattice.cell_volume
+    return np.fft.fftn(values, axes=axes) * scale
+
+
 def forward_transform(f: Field) -> Field:
     """Physical -> frequency, (2 pi)^(-d/2) dx^d fftn per time slice."""
     if f.representation is not Representation.PHYSICAL:
         raise ValueError("forward_transform expects a physical-representation field")
-    lat = f.lattice
-    scale = (2.0 * np.pi) ** (-lat.dim / 2.0) * lat.cell_volume
-    values = np.fft.fftn(f.values, axes=f.spatial_axes) * scale
-    return Field(lat, Representation.FREQUENCY, f.layout, values)
+    return Field(f.lattice, Representation.FREQUENCY, f.layout,
+                 spectral_transform(f.values, f.lattice))
 
 
 def inverse_transform(f: Field) -> Field:
     """Frequency -> physical, exact inverse of forward_transform."""
     if f.representation is not Representation.FREQUENCY:
         raise ValueError("inverse_transform expects a frequency-representation field")
-    lat = f.lattice
-    scale = (2.0 * np.pi) ** (lat.dim / 2.0) / lat.cell_volume
-    values = np.fft.ifftn(f.values, axes=f.spatial_axes) * scale
-    return Field(lat, Representation.PHYSICAL, f.layout, values)
+    return Field(f.lattice, Representation.PHYSICAL, f.layout,
+                 spectral_transform(f.values, f.lattice, inverse=True))
 
 
 def as_frequency(f: Field) -> Field:
@@ -323,6 +326,16 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(max(l2_inner(f, f).real, 0.0)))
 
 
+def pair_stacks(F: np.ndarray, G: np.ndarray, measure,
+                lattice: SpaceTimeLattice) -> np.ndarray:
+    """<f_i, g_i>_0 of inner0 for stacks (c, n_time+1, *n_space) of frequency values."""
+    if measure.dim != lattice.dim:
+        raise ValueError(f"measure dim {measure.dim} != lattice dim {lattice.dim}")
+    w = measure.density(lattice.xi_squared) * lattice.freq_cell_volume
+    axes = tuple(range(1, lattice.dim + 2))
+    return np.sum(F[:, :-1] * np.conj(G[:, :-1]) * w, axis=axes) * lattice.dt
+
+
 def inner0(f: Field, g: Field, measure) -> complex:
     """Covariance pairing <f, g>_0 of the driving noise.
 
@@ -331,13 +344,9 @@ def inner0(f: Field, g: Field, measure) -> complex:
     real and nonnegative.
     """
     _check_pair(f, g, Layout.SPACE_TIME)
-    lat = f.lattice
-    if measure.dim != lat.dim:
-        raise ValueError(f"measure dim {measure.dim} != lattice dim {lat.dim}")
-    F = as_frequency(f).values[:-1]
-    G = as_frequency(g).values[:-1]
-    w = measure.density(lat.xi_squared) * lat.freq_cell_volume
-    return complex(np.sum(F * np.conj(G) * w) * lat.dt)
+    F = as_frequency(f).values[None]
+    G = F if g is f else as_frequency(g).values[None]
+    return complex(pair_stacks(F, G, measure, f.lattice)[0])
 
 
 def norm0(f: Field, measure) -> float:
@@ -358,23 +367,27 @@ def random_band_limited(lattice: SpaceTimeLattice, rng: np.random.Generator,
     slices (the discrete analogue of test functions compactly supported in
     (0, t_max)).
     """
-    shape = lattice.shape_for(layout)
-    white = rng.standard_normal(shape)
-    f = Field(lattice, Representation.PHYSICAL, layout, white.astype(np.complex128))
-    F = forward_transform(f)
+    values = band_limit(rng.standard_normal(lattice.shape_for(layout)), lattice,
+                        band_fraction, layout is Layout.SPACE_TIME and interior_time)
+    return Field(lattice, Representation.PHYSICAL, layout, values)
+
+
+def band_limit(white: np.ndarray, lattice: SpaceTimeLattice,
+               band_fraction: float = 0.25, envelope: bool = True) -> np.ndarray:
+    """The values of random_band_limited for real draws ``white`` whose trailing
+    axes are (n_time + 1, *n_space), or n_space without ``envelope``."""
     mask = np.ones(lattice.n_space, dtype=bool)
     for ax, n in enumerate(lattice.n_space):
         k = np.fft.fftfreq(n) * n  # integer wavenumbers
         shape_ax = [1] * lattice.dim
         shape_ax[ax] = -1
         mask &= np.abs(k.reshape(shape_ax)) <= band_fraction * n
-    F.values *= mask
-    out = inverse_transform(F)
-    out.values = out.values.real.astype(np.complex128)
-    if layout is Layout.SPACE_TIME and interior_time:
+    F = spectral_transform(white.astype(np.complex128), lattice)
+    F *= mask
+    out = spectral_transform(F, lattice, inverse=True).real.astype(np.complex128)
+    if envelope:
         t = np.arange(lattice.n_time + 1) / lattice.n_time
-        envelope = np.sin(np.pi * t) ** 2
-        out.values *= envelope.reshape((-1,) + (1,) * lattice.dim)
+        out *= (np.sin(np.pi * t) ** 2).reshape((-1,) + (1,) * lattice.dim)
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
                       as_frequency, as_physical, forward_transform,
-                      inverse_transform, l2_norm, norm0)
+                      inverse_transform, norm0)
 from .bumps import mollifier
 
 
@@ -37,12 +37,17 @@ def solve_forward(phi1: Field) -> Field:
     if phi1.layout is not Layout.SPACE_TIME:
         raise ValueError("solve_forward expects a space-time forcing field")
     lat = phi1.lattice
-    F = as_frequency(phi1).values
+    out = march_forward(as_frequency(phi1).values[None], lat)[0]
+    return inverse_transform(Field(lat, Representation.FREQUENCY, Layout.SPACE_TIME, out))
+
+
+def march_forward(F: np.ndarray, lattice: SpaceTimeLattice) -> np.ndarray:
+    """The per-mode march h(t_{k+1}) = a h(t_k) + w F(t_k), h(0) = 0, of
+    solve_forward for a stack (c, n_time+1, *n_space) of frequency forcings."""
     out = np.zeros_like(F)
-    for k in range(lat.n_time):
-        out[k + 1] = lat.decay * out[k] + lat.duhamel_weight * F[k]
-    h = Field(lat, Representation.FREQUENCY, Layout.SPACE_TIME, out)
-    return inverse_transform(h)
+    for k in range(lattice.n_time):
+        out[:, k + 1] = lattice.decay * out[:, k] + lattice.duhamel_weight * F[:, k]
+    return out
 
 
 def solve_backward(eta: Field) -> Field:
@@ -53,12 +58,9 @@ def solve_backward(eta: Field) -> Field:
     if eta.layout is not Layout.SPACE_TIME:
         raise ValueError("solve_backward expects a space-time forcing field")
     lat = eta.lattice
-    F = as_frequency(eta).values
-    out = np.zeros_like(F)
-    for k in range(lat.n_time - 1, -1, -1):
-        out[k] = lat.decay * out[k + 1] + lat.duhamel_weight * F[k + 1]
-    phi = Field(lat, Representation.FREQUENCY, Layout.SPACE_TIME, out)
-    return inverse_transform(phi)
+    # the forward march in reversed time: phi(t_k) = a phi(t_{k+1}) + w eta(t_{k+1})
+    out = march_forward(as_frequency(eta).values[None, ::-1], lat)[0, ::-1]
+    return inverse_transform(Field(lat, Representation.FREQUENCY, Layout.SPACE_TIME, out))
 
 
 def _check_support_margin(eta: Field, margin: int) -> None:

@@ -28,10 +28,10 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
-                      apply_multiplier, as_frequency, forward_transform,
-                      inner0, inverse_transform, l2_inner, l2_norm, norm0,
-                      random_band_limited)
-from .pde import solve_backward, solve_forward
+                      apply_multiplier, as_frequency, band_limit,
+                      forward_transform, inner0, inverse_transform, l2_inner,
+                      l2_norm, norm0, pair_stacks, spectral_transform)
+from .pde import march_forward, solve_backward, solve_forward
 from .spectral import Family, SpectralMeasure
 
 
@@ -60,10 +60,6 @@ class RkhsElement:
 
     def norm(self) -> float:
         return norm0(self.phi, self.measure)
-
-
-def _phi1_from_phi(phi: Field, measure: SpectralMeasure) -> Field:
-    return apply_multiplier(phi, measure.density)
 
 
 def _phi_from_phi1(phi1: Field, measure: SpectralMeasure) -> Field:
@@ -100,7 +96,7 @@ def representer(phi: Field, measure: SpectralMeasure, check: bool = True) -> Rkh
     if phys is not None and float(np.abs(phys.imag).max()) > 1e-12 * max(
             1.0, float(np.abs(phys).max())):
         raise ValueError("test field must be real")
-    phi1 = _phi1_from_phi(phi, measure)
+    phi1 = apply_multiplier(phi, measure.density)
     h = solve_forward(phi1)
     report = None
     if check:
@@ -234,19 +230,16 @@ def duality_check(a: RkhsElement, eta: Field) -> dict:
             "gap": float(gap), "scale": float(scale)}
 
 
-def _lh_k_norm(f: Field, k: float, extra_symbol=None) -> float:
-    """|| f ||_{L2((0,T), H^k)} via left-endpoint frequency sums.
-
-    ``extra_symbol`` optionally multiplies the per-mode weight (e.g. |xi|^4
-    for a Laplacian applied beforehand).
-    """
-    lat = f.lattice
-    F = forward_transform(f).values[:-1]
+def _krylov_norms(H: np.ndarray, F1: np.ndarray, k: float,
+                  lat: SpaceTimeLattice) -> np.ndarray:
+    """||Lap h||_{L2(H^k)} + ||phi1||_{L2(H^k)} for stacks (c, n_time+1, *n_space)
+    of the frequency values of h and phi1, by left-endpoint frequency sums."""
     w = (1.0 + lat.xi_squared) ** k
-    if extra_symbol is not None:
-        w = w * extra_symbol(lat.xi_squared)
-    total = float(np.sum((np.abs(F) ** 2) * w).real) * lat.dt * lat.freq_cell_volume
-    return math.sqrt(max(total, 0.0))
+    total = 0.0
+    for X, w_x in ((H, w * lat.xi_squared ** 2), (F1, w)):
+        part = np.sum((np.abs(X[:, :-1]) ** 2) * w_x, axis=tuple(range(1, lat.dim + 2)))
+        total = total + np.sqrt(np.maximum(part * lat.dt * lat.freq_cell_volume, 0.0))
+    return total
 
 
 def krylov_norm(a: RkhsElement) -> float:
@@ -258,10 +251,8 @@ def krylov_norm(a: RkhsElement) -> float:
     m = a.measure
     if m.family is not Family.BESSEL or not markov_guarantee(m):
         raise ValueError("krylov_norm requires a Bessel measure with even order")
-    k = m.alpha / 2.0
-    lap_part = _lh_k_norm(a.h, k, extra_symbol=lambda r: r ** 2)
-    force_part = _lh_k_norm(a.phi1, k)
-    return lap_part + force_part
+    H, F1 = (forward_transform(f).values[None] for f in (a.h, a.phi1))
+    return float(_krylov_norms(H, F1, m.alpha / 2.0, a.h.lattice)[0])
 
 
 def w12_norm(a: RkhsElement) -> float:
@@ -281,6 +272,11 @@ def w12_norm(a: RkhsElement) -> float:
     return math.sqrt(n_h + n_dt + n_xx)
 
 
+# Bytes per complex (n_time+1) x n_space array of a norm-equivalence chunk:
+# enough samples to spread the per-call cost, few enough to stay in cache.
+CHUNK_BYTES = 256 * 1024
+
+
 def norm_equivalence_study(samples: int, measure: SpectralMeasure,
                            lattice: SpaceTimeLattice, seed: int = 0,
                            spread_bound: float = 20.0) -> dict:
@@ -290,18 +286,31 @@ def norm_equivalence_study(samples: int, measure: SpectralMeasure,
     norm of phi).  Reports the min/max ratio; a spread beyond ``spread_bound``
     (a frozen regression constant, not a sharp theoretical value) raises
     InvariantViolation.
+
+    The samples run in chunks along a leading sample axis.  The white noise
+    is drawn in sample order and every operation keeps its per-sample order,
+    so each ratio equals random_band_limited, representer and
+    krylov_norm / norm for that sample byte for byte, whatever the chunk size.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for the spread estimate")
-    if measure.family is not Family.BESSEL:
-        raise ValueError("norm equivalence study is defined for Bessel measures")
+    if measure.family is not Family.BESSEL or not markov_guarantee(measure):
+        raise ValueError("norm equivalence study needs a Bessel measure of even order")
     rng = np.random.default_rng(seed)
+    shape = lattice.shape_for(Layout.SPACE_TIME)
+    chunk = math.ceil(CHUNK_BYTES / (16 * math.prod(shape)))
+    g = measure.density(lattice.xi_squared)
     ratios = np.zeros(samples)
-    for i in range(samples):
-        phi = random_band_limited(lattice, rng)
-        a = representer(phi, measure, check=False)
-        denom = a.norm()
-        ratios[i] = krylov_norm(a) / denom if denom > 0 else np.nan
+    for start in range(0, samples, chunk):
+        c = min(chunk, samples - start)
+        phi = band_limit(rng.standard_normal((c,) + shape), lattice)
+        Phi = spectral_transform(phi, lattice)
+        F1 = spectral_transform(spectral_transform(Phi * g, lattice, inverse=True), lattice)
+        h = spectral_transform(march_forward(F1, lattice), lattice, inverse=True)
+        krylov = _krylov_norms(spectral_transform(h, lattice), F1, measure.alpha / 2.0, lattice)
+        denom = np.sqrt(np.maximum(pair_stacks(Phi, Phi, measure, lattice).real, 0.0))
+        ratios[start:start + c] = np.divide(krylov, denom, out=np.full(c, np.nan),
+                                            where=denom > 0)
     report = {"ratio_min": float(np.nanmin(ratios)),
               "ratio_max": float(np.nanmax(ratios)),
               "samples": samples,

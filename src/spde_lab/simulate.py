@@ -301,6 +301,8 @@ def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int) -> list:
     value ||phi_j||_0^2; the z-score uses the chi-squared standard deviation
     of a Gaussian sample variance, sd = exact * sqrt(2 / (n_paths - 1)).
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for a sample variance, got {n_paths}")
     FF = _integration_transforms(model.lattice, phis)
     samples = _pathwise_integrals(model, FF, seed, range(n_paths))
     rows = []
@@ -328,6 +330,8 @@ def mc_representer_field(model: NoiseModel, phi: Field, seed: int,
     from running sums of the per-path products M(phi) u and of their squares,
     added in path order (memory does not grow with ``n_paths``).
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     lat = model.lattice
     F = forward_transform(phi).values
     s1 = np.zeros((lat.n_time + 1,) + lat.n_space)
@@ -353,6 +357,8 @@ def mc_covariance(model: NoiseModel, points, seed: int, n_paths: int) -> dict:
     estimate matrix and per-entry standard errors.  Per-path values are stored
     and reduced in path order afterwards.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     lat = model.lattice
     P = len(points)
     times = np.array([int(m) for m, _ in points], dtype=int)

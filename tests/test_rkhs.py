@@ -23,6 +23,7 @@ from spde_lab import (
     rkhs_inner,
     w12_norm,
 )
+from spde_lab import rkhs
 
 
 def _lat(n=32, nt=16, L=2.0 * np.pi, T=1.0):
@@ -210,8 +211,43 @@ def test_norm_equivalence_study_contract():
     with pytest.raises(ValueError):
         norm_equivalence_study(100, SpectralMeasure("white", 1.0, 1), lat)
     with pytest.raises(ValueError):
+        norm_equivalence_study(100, SpectralMeasure("bessel", 3.0, 1), lat)
+    with pytest.raises(ValueError):
         norm_equivalence_study(50, SpectralMeasure("bessel", 2.0, 1), lat)
     rep = norm_equivalence_study(100, SpectralMeasure("bessel", 2.0, 1), lat, seed=3)
     assert rep["ratio_min"] > 0
     assert rep["spread"] == pytest.approx(rep["ratio_max"] / rep["ratio_min"])
     assert rep["spread"] <= 20.0
+
+
+def _reference_study_ratios(samples, measure, lat, seed):
+    """The per-sample loop the chunked study replaces."""
+    rng = np.random.default_rng(seed)
+    ratios = np.zeros(samples)
+    for i in range(samples):
+        a = representer(random_band_limited(lat, rng), measure, check=False)
+        denom = a.norm()
+        ratios[i] = krylov_norm(a) / denom if denom > 0 else np.nan
+    return ratios
+
+
+@pytest.mark.parametrize("lat, measure", [
+    (SpaceTimeLattice(1, (8.0,), (32,), 1.0, 64), SpectralMeasure("bessel", 2.0, 1)),
+    (SpaceTimeLattice(2, (8.0, 4.0), (8, 16), 1.0, 8), SpectralMeasure("bessel", 4.0, 2)),
+], ids=["1d", "2d_bessel4"])
+def test_norm_equivalence_matches_per_sample_reference(lat, measure, monkeypatch):
+    """One sample per chunk, the default chunk and one chunk all give the
+    per-sample loop's ratios and report byte for byte."""
+    samples, seed = 150, 11
+    ref = _reference_study_ratios(samples, measure, lat, seed)
+    ref_report = {"ratio_min": float(np.nanmin(ref)), "ratio_max": float(np.nanmax(ref)),
+                  "samples": samples, "spread_bound": 20.0}
+    ref_report["spread"] = ref_report["ratio_max"] / ref_report["ratio_min"]
+    captured = []
+    nanmin = np.nanmin  # the study reduces its ratio array with np.nanmin first
+    monkeypatch.setattr(np, "nanmin", lambda a: captured.append(a.copy()) or nanmin(a))
+    for chunk_bytes in (1, rkhs.CHUNK_BYTES, 1 << 40):
+        monkeypatch.setattr(rkhs, "CHUNK_BYTES", chunk_bytes)
+        report = norm_equivalence_study(samples, measure, lat, seed=seed)
+        assert captured.pop().tobytes() == ref.tobytes()
+        assert repr(report) == repr(ref_report)

@@ -210,6 +210,19 @@ def test_isometry_small_ensemble():
     assert abs(row["z_score"]) < 5.0
 
 
+@pytest.mark.parametrize("run, n_paths", [
+    (lambda m, phi, n: mc_isometry(m, phi, 0, n), 1),
+    (lambda m, phi, n: mc_isometry_batch(m, [phi], 0, n), 1),
+    (lambda m, phi, n: mc_representer_field(m, phi, 0, n), 0),
+    (lambda m, phi, n: mc_covariance(m, [(4, (3,))], 0, n), 0),
+], ids=["isometry", "isometry_batch", "representer_field", "covariance"])
+def test_too_few_paths_rejected(run, n_paths):
+    model = _model(n=16, nt=4)
+    phi = random_band_limited(model.lattice, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n_paths"):
+        run(model, phi, n_paths)
+
+
 def test_isometry_batch_matches_single():
     model = _model(n=16, nt=8)
     rng = np.random.default_rng(4)
