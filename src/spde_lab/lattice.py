@@ -146,6 +146,43 @@ class SpaceTimeLattice:
         """
         return self.dt * _phi1(2.0 * self.xi_squared * self.dt)
 
+    @cached_property
+    def loading(self) -> np.ndarray:
+        """rho(xi) = w/dt = (1 - a)/(|xi|^2 dt), 1 at the zero mode: the
+        loading of one step's convolution increment on its noise increment."""
+        return self.duhamel_weight / self.dt
+
+    @cached_property
+    def innovation(self) -> np.ndarray:
+        """(1 - a^2)/(2 |xi|^2 dt) - rho^2, clamped at 0 against round-off: the
+        variance of that increment left after conditioning on the noise
+        increment, per unit spectral mass and time."""
+        return np.maximum(self.variance_weight / self.dt - self.loading ** 2, 0.0)
+
+    def time_factor(self, gap, t_min) -> np.ndarray:
+        """(exp(-lam |t-s|) - exp(-lam (t+s))) / (2 lam) on lam = |xi|^2, with
+        the continuous value t^s at the zero mode.
+
+        Takes gap = |t - s| and t_min = t ^ s, broadcast against n_space.
+        """
+        lam = self.xi_squared
+        pos = lam > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            body = np.exp(-lam * gap) * (-np.expm1(-2.0 * lam * t_min)) / np.where(
+                pos, 2.0 * lam, 1.0)
+        return np.where(pos, body, t_min)
+
+    def march(self, increments: np.ndarray) -> np.ndarray:
+        """The per-mode march out(t_{k+1}) = a out(t_k) + increments(t_k) from
+        out(t_0) = 0, for a stack (c, >= n_time, *n_space) of increments;
+        returns (c, n_time + 1, *n_space)."""
+        out = np.zeros((len(increments), self.n_time + 1) + self.n_space,
+                       dtype=increments.dtype)
+        for k in range(self.n_time):
+            np.multiply(self.decay, out[:, k], out=out[:, k + 1])
+            out[:, k + 1] += increments[:, k]
+        return out
+
     def point_phase(self, space_index) -> np.ndarray:
         """exp(i xi . x_j) on the frequency grid for the grid point with index j."""
         _, x_j = self.grid_point(0, space_index)
@@ -218,9 +255,6 @@ class Field:
                 f"field values shape {self.values.shape} does not match lattice "
                 f"shape {expected} for layout {self.layout.value}"
             )
-
-    def copy(self) -> "Field":
-        return Field(self.lattice, self.representation, self.layout, self.values.copy())
 
     def real_values(self, tol: float = 1e-9) -> np.ndarray:
         """Real part, asserting the imaginary part is round-off."""
@@ -357,74 +391,49 @@ def norm0(f: Field, measure) -> float:
 # -- structured random fields (band-limited test data) ------------------------
 
 
-def random_band_limited(lattice: SpaceTimeLattice, rng: np.random.Generator,
-                        layout: Layout = Layout.SPACE_TIME,
-                        band_fraction: float = 0.25,
-                        interior_time: bool = True) -> Field:
-    """A real random field with spatial spectrum confined to |k| <= band_fraction * n.
-
-    Space-time fields get a smooth time envelope vanishing at both endpoint
-    slices (the discrete analogue of test functions compactly supported in
-    (0, t_max)).
+def random_band_limited(lattice: SpaceTimeLattice, rng: np.random.Generator) -> Field:
+    """A real random space-time field with spatial spectrum confined to
+    |k| <= n/4 and a smooth time envelope vanishing at both endpoint slices
+    (the discrete analogue of test functions compactly supported in (0, t_max)).
     """
-    values = band_limit(rng.standard_normal(lattice.shape_for(layout)), lattice,
-                        band_fraction, layout is Layout.SPACE_TIME and interior_time)
-    return Field(lattice, Representation.PHYSICAL, layout, values)
+    values = band_limit(rng.standard_normal(lattice.shape_for(Layout.SPACE_TIME)), lattice)
+    return Field(lattice, Representation.PHYSICAL, Layout.SPACE_TIME, values)
 
 
-def band_limit(white: np.ndarray, lattice: SpaceTimeLattice,
-               band_fraction: float = 0.25, envelope: bool = True) -> np.ndarray:
+def band_limit(white: np.ndarray, lattice: SpaceTimeLattice) -> np.ndarray:
     """The values of random_band_limited for real draws ``white`` whose trailing
-    axes are (n_time + 1, *n_space), or n_space without ``envelope``."""
+    axes are (n_time + 1, *n_space)."""
     mask = np.ones(lattice.n_space, dtype=bool)
     for ax, n in enumerate(lattice.n_space):
         k = np.fft.fftfreq(n) * n  # integer wavenumbers
         shape_ax = [1] * lattice.dim
         shape_ax[ax] = -1
-        mask &= np.abs(k.reshape(shape_ax)) <= band_fraction * n
+        mask &= np.abs(k.reshape(shape_ax)) <= 0.25 * n
     F = spectral_transform(white.astype(np.complex128), lattice)
     F *= mask
     out = spectral_transform(F, lattice, inverse=True).real.astype(np.complex128)
-    if envelope:
-        t = np.arange(lattice.n_time + 1) / lattice.n_time
-        out *= (np.sin(np.pi * t) ** 2).reshape((-1,) + (1,) * lattice.dim)
+    t = np.arange(lattice.n_time + 1) / lattice.n_time
+    out *= (np.sin(np.pi * t) ** 2).reshape((-1,) + (1,) * lattice.dim)
     return out
 
 
-def refine_field(f: Field, space_factor: int = 2, time_factor: int = 2) -> Field:
-    """Resample onto a finer lattice: trigonometric interpolation in space,
-    linear interpolation in time (assumes negligible Nyquist energy)."""
+def refine_field(f: Field) -> Field:
+    """Resample a space-time field onto the lattice with twice the sites per
+    axis and twice the steps: trigonometric interpolation in space, linear
+    interpolation in time (assumes negligible Nyquist energy)."""
+    if f.layout is not Layout.SPACE_TIME:
+        raise ValueError("refine_field expects a space-time field")
     lat = f.lattice
-    fine = SpaceTimeLattice(
-        dim=lat.dim,
-        extent=lat.extent,
-        n_space=tuple(n * space_factor for n in lat.n_space),
-        t_max=lat.t_max,
-        n_time=lat.n_time * time_factor,
-    )
-    g = as_physical(f)
+    fine = SpaceTimeLattice(lat.dim, lat.extent, tuple(2 * n for n in lat.n_space),
+                            lat.t_max, 2 * lat.n_time)
     # spatial zero-padding per slice
-    F = forward_transform(g).values
-    pad_shape = fine.n_space if f.layout is Layout.SPACE_ONLY else (lat.n_time + 1,) + fine.n_space
-    padded = np.zeros(pad_shape, dtype=np.complex128)
-    src_idx = [np.fft.fftfreq(n) * n for n in lat.n_space]
-    dest_slices = []
-    for ax, n in enumerate(lat.n_space):
-        k = src_idx[ax].astype(int)
-        dest = np.where(k >= 0, k, k + fine.n_space[ax])
-        dest_slices.append(dest)
-    mesh = np.ix_(*dest_slices)
-    if f.layout is Layout.SPACE_ONLY:
-        padded[mesh] = F
-        coarse_on_fine = inverse_transform(
-            Field(fine, Representation.FREQUENCY, Layout.SPACE_ONLY, padded)
-        ).values
-        return Field(fine, Representation.PHYSICAL, Layout.SPACE_ONLY, coarse_on_fine)
-    padded[(slice(None),) + mesh] = F
-    interim = SpaceTimeLattice(lat.dim, lat.extent, fine.n_space, lat.t_max, lat.n_time)
-    spatial = inverse_transform(
-        Field(interim, Representation.FREQUENCY, Layout.SPACE_TIME, padded)
-    ).values
+    padded = np.zeros((lat.n_time + 1,) + fine.n_space, dtype=np.complex128)
+    dest = []
+    for n in lat.n_space:
+        k = (np.fft.fftfreq(n) * n).astype(int)
+        dest.append(np.where(k >= 0, k, k + 2 * n))
+    padded[(slice(None),) + np.ix_(*dest)] = as_frequency(f).values
+    spatial = spectral_transform(padded, fine, inverse=True)
     # linear time interpolation onto the refined slices
     t_coarse = np.arange(lat.n_time + 1) * lat.dt
     t_fine = np.arange(fine.n_time + 1) * fine.dt

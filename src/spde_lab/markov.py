@@ -34,18 +34,6 @@ from .rkhs import RkhsElement, element_from_h, krylov_norm, rkhs_inner, rkhs_inn
 from .spectral import Family, SpectralMeasure
 
 
-def _time_factor(lam, gap, t_min):
-    """(exp(-lam |t-s|) - exp(-lam (t+s))) / (2 lam), continuous value t^s at 0.
-
-    Takes gap = |t - s| and t_min = t ^ s; lam, gap and t_min broadcast.
-    """
-    pos = lam > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        body = np.exp(-lam * gap) * (-np.expm1(-2.0 * lam * t_min)) / np.where(
-            pos, 2.0 * lam, 1.0)
-    return np.where(pos, body, t_min)
-
-
 def covariance_oracle(measure: SpectralMeasure, lattice: SpaceTimeLattice,
                       p, q) -> float:
     """E u(p) u(q) for p = (t, (x...)), q = (s, (y...)), coordinates physical."""
@@ -53,13 +41,12 @@ def covariance_oracle(measure: SpectralMeasure, lattice: SpaceTimeLattice,
     s, y = q
     if not (0.0 <= t <= lattice.t_max and 0.0 <= s <= lattice.t_max):
         raise ValueError("times must lie in [0, t_max]")
-    lam = lattice.xi_squared
     phase = sum(lattice.xi_component(ax) * (x[ax] - y[ax])
                 for ax in range(lattice.dim))
-    g = measure.density(lam)
+    g = measure.density(lattice.xi_squared)
     c = (2.0 * np.pi) ** (-lattice.dim)
     return float(c * lattice.freq_cell_volume
-                 * np.sum(g * np.cos(phase) * _time_factor(lam, abs(t - s), min(t, s))))
+                 * np.sum(g * np.cos(phase) * lattice.time_factor(abs(t - s), min(t, s))))
 
 
 @dataclass
@@ -96,19 +83,20 @@ def assemble_covariance(measure: SpectralMeasure, lattice: SpaceTimeLattice,
 
     lam = lattice.xi_squared.ravel()
     order = np.argsort(lam)[::-1]  # sum low modes last: they carry most weight
-    lam = lam[order]
     xi = np.stack([lattice.xi_component(ax).ravel()[order]
                    for ax in range(lattice.dim)])  # (d, N)
     ph = x_arr @ xi  # (P, N)
     F = np.concatenate([np.cos(ph), np.sin(ph)], axis=1)  # (P, 2N)
     w = ((2.0 * np.pi) ** (-lattice.dim) * lattice.freq_cell_volume
-         * measure.density(lam))
+         * measure.density(lam[order]))
 
     times, time_of = np.unique(t_arr, return_inverse=True)
+    col = (-1,) + (1,) * lattice.dim
     R = np.empty((P, P))
     for a, t in enumerate(times):
-        V = w * _time_factor(lam, np.abs(t - times)[:, None],
-                             np.minimum(t, times)[:, None])  # (times, N)
+        tf = lattice.time_factor(np.abs(t - times).reshape(col),
+                                 np.minimum(t, times).reshape(col))
+        V = w * tf.reshape(len(times), -1)[:, order]  # (times, N)
         V = np.concatenate([V, V], axis=1)
         rows = time_of == a
         R[rows] = F[rows] @ (F * V[time_of]).T

@@ -14,6 +14,10 @@ from its left endpoint.  The backward (adjoint) problem
 exact for right-held forcing.  With the package's left-endpoint space-time
 pairing these two schemes are exactly adjoint for forcings whose final time
 slice vanishes:  <solve_forward(phi1), eta>_L2 = <phi1, solve_backward(eta)>_L2.
+
+The tables a and w and the march itself belong to the lattice
+(``SpaceTimeLattice.decay``, ``duhamel_weight`` and ``march``); both solvers
+only transform, weight and reverse.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
                       as_frequency, as_physical, forward_transform,
-                      inverse_transform, norm0)
+                      inverse_transform, norm0, refine_field)
 from .bumps import mollifier
 
 
@@ -37,17 +41,8 @@ def solve_forward(phi1: Field) -> Field:
     if phi1.layout is not Layout.SPACE_TIME:
         raise ValueError("solve_forward expects a space-time forcing field")
     lat = phi1.lattice
-    out = march_forward(as_frequency(phi1).values[None], lat)[0]
+    out = lat.march(lat.duhamel_weight * as_frequency(phi1).values[None])[0]
     return inverse_transform(Field(lat, Representation.FREQUENCY, Layout.SPACE_TIME, out))
-
-
-def march_forward(F: np.ndarray, lattice: SpaceTimeLattice) -> np.ndarray:
-    """The per-mode march h(t_{k+1}) = a h(t_k) + w F(t_k), h(0) = 0, of
-    solve_forward for a stack (c, n_time+1, *n_space) of frequency forcings."""
-    out = np.zeros_like(F)
-    for k in range(lattice.n_time):
-        out[:, k + 1] = lattice.decay * out[:, k] + lattice.duhamel_weight * F[:, k]
-    return out
 
 
 def solve_backward(eta: Field) -> Field:
@@ -59,7 +54,7 @@ def solve_backward(eta: Field) -> Field:
         raise ValueError("solve_backward expects a space-time forcing field")
     lat = eta.lattice
     # the forward march in reversed time: phi(t_k) = a phi(t_{k+1}) + w eta(t_{k+1})
-    out = march_forward(as_frequency(eta).values[None, ::-1], lat)[0, ::-1]
+    out = lat.march(lat.duhamel_weight * as_frequency(eta).values[None, ::-1])[0, ::-1]
     return inverse_transform(Field(lat, Representation.FREQUENCY, Layout.SPACE_TIME, out))
 
 
@@ -97,8 +92,6 @@ def fourier_bound_check(eta: Field, margin: int = 4, stability_tol: float = 0.10
         P = forward_transform(psi).values
         w = 1.0 + field.lattice.xi_squared
         return float(np.max(np.abs(P) * w))
-
-    from .lattice import refine_field
 
     value = n_hat(eta)
     refined = n_hat(refine_field(eta))

@@ -31,7 +31,7 @@ from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
                       apply_multiplier, as_frequency, band_limit,
                       forward_transform, inner0, inverse_transform, l2_inner,
                       l2_norm, norm0, pair_stacks, spectral_transform)
-from .pde import march_forward, solve_backward, solve_forward
+from .pde import solve_backward, solve_forward
 from .spectral import Family, SpectralMeasure
 
 
@@ -106,13 +106,14 @@ def representer(phi: Field, measure: SpectralMeasure, check: bool = True) -> Rkh
 
 def _probe_check(phi: Field, h: Field, measure: SpectralMeasure) -> dict:
     lat = phi.lattice
+    Phi = as_frequency(phi)
     h_vals = h.real_values()
     scale = float(np.abs(h_vals).max())
     worst = 0.0
     probes = []
     for m, idx in _default_probes(lat):
-        col = heat_column(lat, (m, idx), kind="reproducing")
-        direct = rkhs_inner_raw(phi, col, measure)
+        col = forward_transform(heat_column(lat, (m, idx), kind="reproducing"))
+        direct = rkhs_inner_raw(Phi, col, measure)
         solver = float(h_vals[(m,) + idx])
         err = abs(direct - solver) / scale if scale > 0 else 0.0
         worst = max(worst, err)
@@ -176,7 +177,7 @@ def heat_column(lattice: SpaceTimeLattice, point,
     if not 0 <= m <= lattice.n_time:
         raise ValueError("time index out of range")
     if kind == "reproducing":
-        weight = lattice.duhamel_weight / lattice.dt
+        weight = lattice.loading
     else:
         weight = np.sqrt(lattice.variance_weight / lattice.dt)
     phase = np.conj(lattice.point_phase(idx))
@@ -306,7 +307,7 @@ def norm_equivalence_study(samples: int, measure: SpectralMeasure,
         phi = band_limit(rng.standard_normal((c,) + shape), lattice)
         Phi = spectral_transform(phi, lattice)
         F1 = spectral_transform(spectral_transform(Phi * g, lattice, inverse=True), lattice)
-        h = spectral_transform(march_forward(F1, lattice), lattice, inverse=True)
+        h = spectral_transform(lattice.march(lattice.duhamel_weight * F1), lattice, inverse=True)
         krylov = _krylov_norms(spectral_transform(h, lattice), F1, measure.alpha / 2.0, lattice)
         denom = np.sqrt(np.maximum(pair_stacks(Phi, Phi, measure, lattice).real, 0.0))
         ratios[start:start + c] = np.divide(krylov, denom, out=np.full(c, np.nan),

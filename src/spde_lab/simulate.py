@@ -17,7 +17,9 @@ coupled to eta_k through its conditional law
 so that pathwise stochastic integrals M(phi) = sum_k sum_xi Fphi(t_k) conj(eta_k)
 and the sampled field have exactly the continuum joint second moments at grid
 times: E M(phi)^2 = ||phi||_0^2 and E M(phi) u(t,x) equals the forward Duhamel
-solution driven by the g-multiplied test field.
+solution driven by the g-multiplied test field.  The tables a, rho and
+tau^2 / (g dxi^d dt) and the step itself belong to the lattice
+(``SpaceTimeLattice.decay``, ``loading``, ``innovation`` and ``march``).
 
 Randomness is counter-based and reproducible: each (seed, path) pair keys an
 independent Philox stream, and each time step advances the counter to a fixed
@@ -92,16 +94,12 @@ class NoiseModel:
     def tau(self) -> np.ndarray:
         """Scale of the eta-independent part of eps_k.
 
-        tau^2 = g dxi^d dt [ (1 - a^2)/(2 |xi|^2 dt) - rho^2 ], which is
-        theta^2/12 * g dxi^d dt + O(theta^3) in theta = |xi|^2 dt; clamped
-        at 0 against round-off.
+        tau^2 = g dxi^d dt [ (1 - a^2)/(2 |xi|^2 dt) - rho^2 ] (the lattice's
+        ``innovation`` table), which is theta^2/12 * g dxi^d dt + O(theta^3)
+        in theta = |xi|^2 dt.
         """
         lat = self.lattice
-        a2 = lat.variance_weight / lat.dt
-        rho = lat.duhamel_weight / lat.dt
-        var = (self.density * lat.freq_cell_volume * lat.dt
-               * np.maximum(a2 - rho ** 2, 0.0))
-        return np.sqrt(var)
+        return np.sqrt(self.density * lat.freq_cell_volume * lat.dt * lat.innovation)
 
     # -- randomness ------------------------------------------------------
 
@@ -149,19 +147,13 @@ def _ou_chunks(model: NoiseModel, seed: int, paths: range):
     depend on the chunking: each (path, step) draws one unit pair.
     """
     lat = model.lattice
-    rho = lat.duhamel_weight / lat.dt
     size = max(1, CHUNK_BYTES // (lat.n_time * 2 * math.prod(lat.n_space) * 16))
     for start in range(0, len(paths), size):
         chunk = paths[start:start + size]
         raw = [[model.unit_pair(seed, p, k) for k in range(lat.n_time)] for p in chunk]
         z = _unit_fields(lat, np.array(raw))
         eta = model.increment_scale * z[:, :, 0]
-        eps = rho * eta + model.tau * z[:, :, 1]
-        amps = np.zeros((len(chunk), lat.n_time + 1) + lat.n_space, dtype=np.complex128)
-        for k in range(lat.n_time):
-            np.multiply(lat.decay, amps[:, k], out=amps[:, k + 1])
-            amps[:, k + 1] += eps[:, k]
-        yield chunk, eta, amps
+        yield chunk, eta, lat.march(lat.loading * eta + model.tau * z[:, :, 1])
 
 
 def _pathwise_integrals(model: NoiseModel, FF: np.ndarray, seed: int,

@@ -1,13 +1,17 @@
-"""Property tests: the spectral transform and the heat march satisfy their
-exact discrete identities on random 1-D and 2-D lattices."""
+"""Property tests: the spectral transform, the heat march and the sampler
+satisfy their exact discrete identities on random 1-D and 2-D lattices."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from spde_lab import (Field, Layout, Representation, SpaceTimeLattice,
+from spde_lab import (Field, Layout, NoiseModel, Representation, SpaceTimeLattice,
                       SpectralMeasure, element_from_h, forward_transform,
-                      inverse_transform, l2_inner, l2_norm, representer,
-                      solve_backward, solve_forward)
+                      heat_column, inner0, inverse_transform, l2_inner, l2_norm,
+                      mc_representer_field, norm0, representer, simulate_u,
+                      solve_backward, solve_forward, spectral_amplitudes)
+from spde_lab import simulate
 from spde_lab.lattice import spectral_transform
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -92,3 +96,39 @@ def test_element_from_h_inverts_representer(lat, family_alpha, seed):
     err = np.max(np.abs(back.phi.values - phi.values)) / np.max(np.abs(phi.values))
     g = measure.density(lat.xi_squared)
     assert err <= 1e-13 * lat.t_max * np.max(g) / np.min(lat.duhamel_weight * g)
+
+
+@settings
+@hypothesis.given(lattices(), st.sampled_from([("white", 0.0), ("bessel", 2.0),
+                                               ("bessel", 4.0), ("riesz", 0.5)]),
+                  st.integers(0, 2**32 - 1), st.data())
+def test_heat_column_reproduces_representer(lat, family_alpha, seed, data):
+    """inner0(phi, heat_column(p)) equals representer(phi).h at the grid point p."""
+    measure = SpectralMeasure(family_alpha[0], family_alpha[1], lat.dim)
+    phi = _field(lat, np.random.default_rng(seed))
+    point = (data.draw(st.integers(0, lat.n_time)),
+             tuple(data.draw(st.integers(0, n - 1)) for n in lat.n_space))
+    col = heat_column(lat, point)
+    direct = inner0(phi, col, measure)
+    solver = representer(phi, measure, check=False).h.values[(point[0],) + point[1]]
+    scale = max(norm0(phi, measure) * norm0(col, measure), 1e-300)
+    assert abs(direct - solver) <= 1e-13 * scale
+
+
+@settings
+@hypothesis.given(lattices(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_sampler_chunking_changes_no_byte(lat, n_paths, seed):
+    """simulate_u, spectral_amplitudes and mc_representer_field give the same
+    bytes for one path per chunk, the default chunk and one chunk, and each
+    simulate_u path is the transform of that path's spectral_amplitudes."""
+    model = NoiseModel(SpectralMeasure("bessel", 2.0, lat.dim), lat)
+    phi = _field(lat, np.random.default_rng(seed))
+    runs = []
+    for chunk_bytes in (1, simulate.CHUNK_BYTES, 1 << 24):
+        with mock.patch.object(simulate, "CHUNK_BYTES", chunk_bytes):
+            paths = simulate_u(model.measure, lat, seed, n_paths).values
+            amps = np.stack([spectral_amplitudes(model, seed, p) for p in range(n_paths)])
+            rf = mc_representer_field(model, phi, seed, n_paths)
+        runs.append([a.tobytes() for a in (paths, amps, rf["estimate"], rf["stderr"])])
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == simulate._amplitudes_to_physical(lat, amps).tobytes()

@@ -133,7 +133,7 @@ def test_riesz_zero_mode_sentinel_in_pairing():
 def test_random_band_limited_is_real_banded_and_time_compact():
     lat = _lat(n=64)
     rng = np.random.default_rng(5)
-    f = random_band_limited(lat, rng, band_fraction=0.25)
+    f = random_band_limited(lat, rng)
     assert np.max(np.abs(f.values.imag)) < 1e-12
     F = forward_transform(f).values
     k = np.fft.fftfreq(64, d=1.0 / 64)
@@ -216,6 +216,14 @@ def test_step_tables_match_closed_forms():
     np.testing.assert_allclose(lat.variance_weight[nz], (1 - a ** 2) / (2 * lam),
                                rtol=1e-12)
     assert lat.duhamel_weight[0, 0] == dt and lat.variance_weight[0, 0] == dt
+    np.testing.assert_allclose(lat.loading[nz], (1 - a) / (lam * dt), rtol=1e-12)
+    assert lat.loading[0, 0] == 1.0
+    assert np.all(lat.innovation >= 0.0)
+    gap, t_min = np.array([0.0, 0.3, 0.7]), np.array([0.2, 0.0, 0.3])
+    tf = lat.time_factor(gap.reshape(-1, 1, 1), t_min.reshape(-1, 1, 1))
+    exact = (np.exp(-lam * gap[:, None]) - np.exp(-lam * (gap + 2 * t_min)[:, None])) / (2 * lam)
+    np.testing.assert_allclose(tf[:, nz], exact, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(tf[:, 0, 0], t_min)
 
 
 def test_point_phase_is_plane_wave_at_grid_point():

@@ -65,6 +65,29 @@ def test_representer_probe_report_tiny():
     assert elem.probe_report["max_rel_err"] <= 1e-8
 
 
+def test_probe_check_transforms_each_field_once(monkeypatch):
+    """The chain makes 2 forward transforms; the 8-probe check adds one for
+    phi and one per reproducing column, and none inside the pairings."""
+    from spde_lab import lattice
+    lat = SpaceTimeLattice(1, (8.0,), (32,), 1.0, 64)
+    phi = random_band_limited(lat, np.random.default_rng(0))
+    measure = SpectralMeasure("bessel", 2.0, 1)
+    forward = []
+    transform = lattice.spectral_transform
+
+    def counting(values, lat_, inverse=False):
+        forward.append(not inverse)
+        return transform(values, lat_, inverse)
+
+    monkeypatch.setattr(lattice, "spectral_transform", counting)
+    representer(phi, measure, check=False)
+    assert sum(forward) == 2
+    forward.clear()
+    elem = representer(phi, measure, check=True)
+    assert sum(forward) <= 11
+    assert elem.probe_report["max_rel_err"] <= 1e-8
+
+
 def test_representer_linear():
     lat = _lat()
     rng = np.random.default_rng(1)
