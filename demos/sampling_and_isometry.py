@@ -23,7 +23,7 @@ from spde_lab import (
     SpectralMeasure,
     assemble_covariance,
     mc_covariance,
-    mc_isometry,
+    mc_isometry_batch,
     norm0,
     random_band_limited,
     simulate_u,
@@ -54,7 +54,7 @@ def main():
     model = NoiseModel(m, lat)
     for trial in range(3):
         phi = random_band_limited(lat, rng)
-        row = mc_isometry(model, phi, seed=5, n_paths=4000)
+        row = mc_isometry_batch(model, [phi], seed=5, n_paths=4000)[0]
         print(f"  trial {trial}: MC var {row['mc_var']:.5f}   "
               f"exact {row['exact']:.5f}   z = {row['z_score']:+.2f}")
     print(f"  (exact = {norm0(phi, m)**2:.5f} for the last field)")

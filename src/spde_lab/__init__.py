@@ -8,25 +8,24 @@ experiments on it.
 """
 
 from .errors import DalangConditionError, InvariantViolation
-from .spectral import (Family, SpectralMeasure, dalang_condition, density,
+from .spectral import (Family, SpectralMeasure, dalang_condition,
                        density_integrable, heat_kernel_closed_form, kernel_eval,
                        truncation_tail)
 from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
-                      forward_transform, inner0, inverse_transform, l2_inner,
-                      l2_norm, norm0, random_band_limited, read_field,
-                      refine_field, write_field, zero_field)
+                      apply_multiplier, forward_transform, inner0,
+                      inverse_transform, l2_inner, l2_norm, norm0,
+                      random_band_limited, read_field, refine_field,
+                      write_field, zero_field)
 from .bumps import (radial_cutoff, space_time_bump, spatial_bump,
                     support_mask, time_profile)
-from .fracops import (OperatorKind, OperatorSpec, apply, bessel_potential,
-                      laplacian_power, localization_check, mixed_time_space_norm,
-                      operator_J, q_exponent, remove_mean, riesz_derivative,
-                      riesz_potential)
+from .fracops import (bessel_potential, laplacian_power, localization_check,
+                      mixed_time_space_norm, operator_J, q_exponent, remove_mean,
+                      riesz_derivative, riesz_potential)
 from .pde import (BumpSpec, fourier_bound_check, riemann_convergence_study,
                   solve_backward, solve_forward)
-from .simulate import (NoiseModel, PathEnsemble, RNG_ID, increment_to_physical,
-                       mc_covariance, mc_isometry, mc_isometry_batch,
-                       mc_representer_field, sample_noise_increment, simulate_u,
-                       spectral_amplitudes, stochastic_integral)
+from .simulate import (NoiseModel, PathEnsemble, RNG_ID, mc_covariance,
+                       mc_isometry_batch, mc_representer_field,
+                       sample_noise_increment, simulate_u, spectral_amplitudes)
 from .rkhs import (RkhsElement, duality_check, element_from_h, heat_column,
                    krylov_norm, markov_guarantee, norm_equivalence_study,
                    representer, rkhs_inner, w12_norm)
@@ -39,23 +38,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DalangConditionError", "InvariantViolation",
-    "Family", "SpectralMeasure", "density", "dalang_condition",
+    "Family", "SpectralMeasure", "dalang_condition",
     "density_integrable", "kernel_eval",
     "heat_kernel_closed_form", "truncation_tail",
     "Field", "Layout", "Representation", "SpaceTimeLattice",
     "forward_transform", "inverse_transform", "inner0", "norm0",
-    "l2_inner", "l2_norm", "zero_field", "random_band_limited",
-    "refine_field", "read_field", "write_field",
+    "l2_inner", "l2_norm", "apply_multiplier", "zero_field",
+    "random_band_limited", "refine_field", "read_field", "write_field",
     "spatial_bump", "space_time_bump", "time_profile", "radial_cutoff",
     "support_mask",
-    "OperatorKind", "OperatorSpec", "apply", "bessel_potential",
-    "riesz_potential", "riesz_derivative", "laplacian_power", "operator_J",
-    "remove_mean", "localization_check", "q_exponent", "mixed_time_space_norm",
+    "bessel_potential", "riesz_potential", "riesz_derivative",
+    "laplacian_power", "operator_J", "remove_mean", "localization_check",
+    "q_exponent", "mixed_time_space_norm",
     "BumpSpec", "solve_forward", "solve_backward",
     "fourier_bound_check", "riemann_convergence_study",
     "NoiseModel", "PathEnsemble", "RNG_ID", "simulate_u",
-    "sample_noise_increment", "increment_to_physical", "spectral_amplitudes",
-    "stochastic_integral", "mc_isometry", "mc_isometry_batch",
+    "sample_noise_increment", "spectral_amplitudes", "mc_isometry_batch",
     "mc_representer_field", "mc_covariance",
     "RkhsElement", "representer", "element_from_h", "heat_column",
     "rkhs_inner", "duality_check", "krylov_norm", "w12_norm",

@@ -87,10 +87,10 @@ def radial_cutoff(lattice: SpaceTimeLattice, center, inner_radius: float,
                  vals.astype(np.complex128))
 
 
-def support_mask(f: Field, rel_tol: float = 1e-12) -> np.ndarray:
-    """Boolean mask where |values| exceeds rel_tol times the field maximum."""
+def support_mask(f: Field) -> np.ndarray:
+    """Boolean mask where |values| exceeds 1e-12 times the field maximum."""
     a = np.abs(f.values)
     scale = float(a.max())
     if scale == 0.0:
         return np.zeros_like(a, dtype=bool)
-    return a > rel_tol * scale
+    return a > 1e-12 * scale

@@ -1,12 +1,12 @@
 """Fractional Laplacian-type operators as radial Fourier multipliers.
 
-Operator kinds and symbols (on the angular frequency grid, r = |xi|^2):
+Each operator is its symbol, a function of r = |xi|^2 on the angular
+frequency grid, applied with ``apply_multiplier(f, symbol)``:
 
     bessel_potential(gamma)   (1 + r)^(-gamma/2)      # (1 - Lap)^(-gamma/2)
     riesz_potential(beta)     r^(-beta/2), 0 at xi=0  # I^beta
     riesz_derivative(beta)    r^(beta/2)              # D^beta
     laplacian_power(k)        r^k                     # (-Lap)^k
-    identity                  1
 
 riesz_derivative(2k) is the two-sided inverse of riesz_potential(2k) on
 mean-zero fields (both kill the zero mode).  operator_J implements the
@@ -17,9 +17,6 @@ plain space-time L2: F(J phi) = |xi|^(-2k) F(phi), which satisfies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .lattice import Field, Layout, apply_multiplier, l2_norm
@@ -27,63 +24,36 @@ from .spectral import Family, SpectralMeasure
 from .bumps import support_mask
 
 
-class OperatorKind(str, Enum):
-    BESSEL_POTENTIAL = "bessel_potential"
-    RIESZ_POTENTIAL = "riesz_potential"
-    RIESZ_DERIVATIVE = "riesz_derivative"
-    LAPLACIAN_POWER = "laplacian_power"
-    IDENTITY = "identity"
+def bessel_potential(gamma: float):
+    return lambda r: (1.0 + np.asarray(r, dtype=float)) ** (-gamma / 2.0)
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    kind: OperatorKind
-    order: float = 0.0
+def riesz_potential(beta: float):
+    """Symbol r^(-beta/2) with the zero-mode sentinel 0."""
+    if beta <= 0:
+        raise ValueError("riesz_potential requires a positive order")
 
-    def __post_init__(self):
-        if not isinstance(self.kind, OperatorKind):
-            object.__setattr__(self, "kind", OperatorKind(self.kind))
-        if self.kind in (OperatorKind.RIESZ_POTENTIAL, OperatorKind.RIESZ_DERIVATIVE):
-            if self.order <= 0:
-                raise ValueError(f"{self.kind.value} requires a positive order")
-        if self.kind is OperatorKind.LAPLACIAN_POWER:
-            if self.order < 0 or int(self.order) != self.order:
-                raise ValueError("laplacian_power requires a nonnegative integer order")
-
-    def symbol(self, xi_squared: np.ndarray) -> np.ndarray:
-        r = np.asarray(xi_squared, dtype=float)
-        if self.kind is OperatorKind.IDENTITY:
-            return np.ones_like(r)
-        if self.kind is OperatorKind.BESSEL_POTENTIAL:
-            return (1.0 + r) ** (-self.order / 2.0)
-        if self.kind is OperatorKind.LAPLACIAN_POWER:
-            return r ** int(self.order)
-        if self.kind is OperatorKind.RIESZ_DERIVATIVE:
-            return np.where(r > 0.0, r ** (self.order / 2.0), 0.0)
-        # riesz potential: zero-mode sentinel 0
+    def symbol(r):
+        r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore"):
-            return np.where(r > 0.0, r ** (-self.order / 2.0), 0.0)
+            return np.where(r > 0.0, r ** (-beta / 2.0), 0.0)
+    return symbol
 
 
-def bessel_potential(gamma: float) -> OperatorSpec:
-    return OperatorSpec(OperatorKind.BESSEL_POTENTIAL, gamma)
+def riesz_derivative(beta: float):
+    if beta <= 0:
+        raise ValueError("riesz_derivative requires a positive order")
+
+    def symbol(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 0.0, r ** (beta / 2.0), 0.0)
+    return symbol
 
 
-def riesz_potential(beta: float) -> OperatorSpec:
-    return OperatorSpec(OperatorKind.RIESZ_POTENTIAL, beta)
-
-
-def riesz_derivative(beta: float) -> OperatorSpec:
-    return OperatorSpec(OperatorKind.RIESZ_DERIVATIVE, beta)
-
-
-def laplacian_power(k: int) -> OperatorSpec:
-    return OperatorSpec(OperatorKind.LAPLACIAN_POWER, k)
-
-
-def apply(op: OperatorSpec, f: Field) -> Field:
-    """Apply the operator's Fourier multiplier (any layout, any representation)."""
-    return apply_multiplier(f, op.symbol)
+def laplacian_power(k: int):
+    if k < 0 or int(k) != k:
+        raise ValueError("laplacian_power requires a nonnegative integer order")
+    return lambda r: np.asarray(r, dtype=float) ** int(k)
 
 
 def remove_mean(f: Field) -> Field:
@@ -114,10 +84,10 @@ def operator_J(phi: Field, m: SpectralMeasure, formal: bool = False) -> Field:
             f"embedding constraint 2 < dim/(2k) fails for dim={m.dim}, k={k}; "
             "pass formal=True for symbol-level use"
         )
-    return apply(riesz_potential(2 * k), phi)
+    return apply_multiplier(phi, riesz_potential(2 * k))
 
 
-def localization_check(kappa: Field, chi: Field, k: int, min_sep_cells: int = 4) -> dict:
+def localization_check(kappa: Field, chi: Field, k: int) -> dict:
     """Commutator defect of the 2k-th Riesz derivative against a cutoff.
 
     For kappa = mu + nu with separated supports and chi a smooth cutoff that
@@ -128,8 +98,8 @@ def localization_check(kappa: Field, chi: Field, k: int, min_sep_cells: int = 4)
         ||D^(2k)(chi kappa) - chi D^(2k) kappa||_L2 / ||D^(2k) kappa||_L2
 
     is a pure discretization floor that shrinks under refinement.  Raises if
-    the transition region of chi overlaps the support of kappa by fewer than
-    ``min_sep_cells`` cells (the identity then has no reason to hold).
+    the transition region of chi (where it is neither 0 nor 1) overlaps the
+    support of kappa (the identity then has no reason to hold).
     """
     if kappa.lattice != chi.lattice:
         raise ValueError("kappa and chi live on different lattices")
@@ -143,10 +113,10 @@ def localization_check(kappa: Field, chi: Field, k: int, min_sep_cells: int = 4)
     if np.any(transition & kappa_supp):
         raise ValueError("cutoff transition region overlaps the support of kappa")
     op = riesz_derivative(2 * k)
-    d_kappa = apply(op, kappa)
+    d_kappa = apply_multiplier(kappa, op)
     prod = Field(kappa.lattice, kappa.representation, kappa.layout,
                  chi.values * kappa.values)
-    lhs = apply(op, prod)
+    lhs = apply_multiplier(prod, op)
     rhs = Field(kappa.lattice, kappa.representation, kappa.layout,
                 chi.values * d_kappa.values)
     diff = Field(kappa.lattice, kappa.representation, kappa.layout,

@@ -28,11 +28,12 @@ Conventions (single source of truth for the whole package)
 
 from __future__ import annotations
 
-import os
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -256,18 +257,18 @@ class Field:
                 f"shape {expected} for layout {self.layout.value}"
             )
 
-    def real_values(self, tol: float = 1e-9) -> np.ndarray:
-        """Real part, asserting the imaginary part is round-off."""
+    def real_values(self) -> np.ndarray:
+        """Real part, asserting the imaginary part is round-off (1e-9 of the
+        largest magnitude)."""
         scale = float(np.max(np.abs(self.values))) or 1.0
         worst = float(np.max(np.abs(self.values.imag)))
-        if worst > tol * scale:
+        if worst > 1e-9 * scale:
             raise ValueError(f"field is not real: max |imag| = {worst:.3e} (scale {scale:.3e})")
         return self.values.real.copy()
 
 
-def zero_field(lattice: SpaceTimeLattice, layout: Layout,
-               representation: Representation = Representation.PHYSICAL) -> Field:
-    return Field(lattice, representation, layout,
+def zero_field(lattice: SpaceTimeLattice, layout: Layout) -> Field:
+    return Field(lattice, Representation.PHYSICAL, layout,
                  np.zeros(lattice.shape_for(layout), dtype=np.complex128))
 
 
@@ -451,53 +452,60 @@ _REP_CODE = {Representation.PHYSICAL: 0, Representation.FREQUENCY: 1}
 _LAYOUT_CODE = {Layout.SPACE_ONLY: 0, Layout.SPACE_TIME: 1}
 
 
-def write_field(f: Field, path) -> None:
-    """Serialize a field: fixed header + little-endian float64 interleaved re/im."""
+def write_field(f: Field, path) -> bytes:
+    """Serialize a field: fixed header + little-endian float64 interleaved re/im.
+
+    Returns the bytes written.
+    """
     lat = f.lattice
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<q", lat.dim))
-        fh.write(struct.pack(f"<{lat.dim}q", *lat.n_space))
-        fh.write(struct.pack("<q", lat.n_time))
-        fh.write(struct.pack(f"<{lat.dim}d", *lat.extent))
-        fh.write(struct.pack("<d", lat.t_max))
-        fh.write(struct.pack("<q", _REP_CODE[f.representation]))
-        fh.write(struct.pack("<q", _LAYOUT_CODE[f.layout]))
-        flat = np.ascontiguousarray(f.values).ravel()
-        inter = np.empty(2 * flat.size, dtype="<f8")
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        fh.write(inter.tobytes())
+    header = struct.pack(f"<8sq{lat.dim}qq{lat.dim}ddqq", _MAGIC, lat.dim,
+                         *lat.n_space, lat.n_time, *lat.extent, lat.t_max,
+                         _REP_CODE[f.representation], _LAYOUT_CODE[f.layout])
+    flat = np.ascontiguousarray(f.values).ravel()
+    inter = np.empty(2 * flat.size, dtype="<f8")
+    inter[0::2] = flat.real
+    inter[1::2] = flat.imag
+    blob = header + inter.tobytes()
+    Path(path).write_bytes(blob)
+    return blob
+
+
+def decode_field(blob: bytes) -> Field:
+    """Parse the bytes of a field container written by ``write_field``.
+
+    Checks the magic, the dimension, the header length, the lattice, the
+    representation and layout codes, and that the length is exactly the
+    header plus 16 bytes per value, before reading any value.
+    """
+    if blob[:8] != _MAGIC:
+        raise ValueError(f"not a field container (bad magic {blob[:8]!r})")
+    if len(blob) < 16:
+        raise ValueError("truncated field container")
+    (dim,) = struct.unpack_from("<q", blob, 8)
+    if dim < 1:
+        raise ValueError(f"field container has dimension {dim}")
+    header = 48 + 16 * dim
+    if len(blob) < header:
+        raise ValueError("truncated field container")
+    *n_space, n_time = struct.unpack_from(f"<{dim + 1}q", blob, 16)
+    *extent, t_max = struct.unpack_from(f"<{dim + 1}d", blob, 24 + 8 * dim)
+    rep_code, layout_code = struct.unpack_from("<2q", blob, 32 + 16 * dim)
+    lat = SpaceTimeLattice(dim, extent, n_space, t_max, n_time)
+    rep = {v: k for k, v in _REP_CODE.items()}.get(rep_code)
+    layout = {v: k for k, v in _LAYOUT_CODE.items()}.get(layout_code)
+    if rep is None or layout is None:
+        raise ValueError(f"unknown representation/layout code "
+                         f"{rep_code}/{layout_code} in field container")
+    shape = lat.shape_for(layout)
+    expected = header + 16 * math.prod(shape)
+    if len(blob) < expected:
+        raise ValueError("truncated field container")
+    if len(blob) > expected:
+        raise ValueError(f"field container has {len(blob) - expected} bytes "
+                         "after its payload")
+    raw = np.frombuffer(blob, dtype="<f8", offset=header)
+    return Field(lat, rep, layout, (raw[0::2] + 1j * raw[1::2]).reshape(shape))
 
 
 def read_field(path) -> Field:
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"not a field container (bad magic {magic!r})")
-        if size < 16:
-            raise ValueError("truncated field container")
-        (dim,) = struct.unpack("<q", fh.read(8))
-        if dim < 1:
-            raise ValueError(f"field container has dimension {dim}")
-        if size < 48 + 16 * dim:  # the header written by write_field
-            raise ValueError("truncated field container")
-        n_space = struct.unpack(f"<{dim}q", fh.read(8 * dim))
-        (n_time,) = struct.unpack("<q", fh.read(8))
-        extent = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        (t_max,) = struct.unpack("<d", fh.read(8))
-        (rep_code,) = struct.unpack("<q", fh.read(8))
-        (layout_code,) = struct.unpack("<q", fh.read(8))
-        lat = SpaceTimeLattice(dim, extent, n_space, t_max, n_time)
-        rep = {v: k for k, v in _REP_CODE.items()}.get(rep_code)
-        layout = {v: k for k, v in _LAYOUT_CODE.items()}.get(layout_code)
-        if rep is None or layout is None:
-            raise ValueError(f"unknown representation/layout code "
-                             f"{rep_code}/{layout_code} in field container")
-        count = int(np.prod(lat.shape_for(layout)))
-        raw = np.frombuffer(fh.read(16 * count), dtype="<f8")
-        if raw.size != 2 * count:
-            raise ValueError("truncated field container")
-        values = (raw[0::2] + 1j * raw[1::2]).reshape(lat.shape_for(layout))
-        return Field(lat, rep, layout, values)
+    return decode_field(Path(path).read_bytes())

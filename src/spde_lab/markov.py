@@ -260,22 +260,22 @@ def _spatial_separation_cells(a: Field, b: Field) -> float:
     return best
 
 
-def kunsch_orthogonality(measure: SpectralMeasure, h_bump: Field, g_bump: Field,
-                         min_sep_cells: int = 8) -> dict:
+def kunsch_orthogonality(measure: SpectralMeasure, h_bump: Field,
+                         g_bump: Field) -> dict:
     """Normalized covariance pairing of elements built from disjoint bumps.
 
     Each bump is promoted to a representer element by the exact chain
     inversion (phi1 = dh/dt - Lap h discretely, then the inverse density
     multiplier).  Returns |<phi_h, phi_g>_0| / (||phi_h||_0 ||phi_g||_0),
     which vanishes in the continuum for measures whose Dirichlet form is
-    local (even-order Bessel), and stays finite for fractional orders.
+    local (even-order Bessel), and stays finite for fractional orders.  The
+    bump supports must lie at least 8 cells apart.
     """
     if h_bump.lattice != g_bump.lattice:
         raise ValueError("bumps must share one lattice")
     sep = _spatial_separation_cells(h_bump, g_bump)
-    if sep < min_sep_cells:
-        raise ValueError(
-            f"bump supports are {sep:.1f} cells apart; need >= {min_sep_cells}")
+    if sep < 8:
+        raise ValueError(f"bump supports are {sep:.1f} cells apart; need >= 8")
     a = element_from_h(h_bump, measure)
     b = element_from_h(g_bump, measure)
     raw = rkhs_inner(a, b)

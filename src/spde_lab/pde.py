@@ -77,15 +77,16 @@ def _check_support_margin(eta: Field, margin: int) -> None:
         )
 
 
-def fourier_bound_check(eta: Field, margin: int = 4, stability_tol: float = 0.10) -> dict:
+def fourier_bound_check(eta: Field) -> dict:
     """Sup bound N = max (1 + |xi|^2) |F psi(t, xi)| for psi = solve_backward(eta).
 
-    For smooth compactly supported eta this sup is finite and stable under one
-    simultaneous grid doubling (space refined spectrally, time linearly);
-    ``stable`` reports whether the doubled value moved by at most
-    ``stability_tol`` relatively.  The bound scales linearly with eta.
+    eta must vanish on a 4-cell margin at the spatial seam and both time
+    ends.  For smooth compactly supported eta this sup is finite and stable
+    under one simultaneous grid doubling (space refined spectrally, time
+    linearly); ``stable`` reports whether the doubled value moved by at most
+    10% relatively.  The bound scales linearly with eta.
     """
-    _check_support_margin(eta, margin)
+    _check_support_margin(eta, 4)
 
     def n_hat(field: Field) -> float:
         psi = solve_backward(field)
@@ -100,7 +101,7 @@ def fourier_bound_check(eta: Field, margin: int = 4, stability_tol: float = 0.10
         "n_hat": value,
         "n_hat_refined": refined,
         "relative_drift": float(drift),
-        "stable": bool(drift <= stability_tol),
+        "stable": bool(drift <= 0.10),
     }
 
 
@@ -115,12 +116,11 @@ class BumpSpec:
     t_width: float
     x_center: tuple
     x_width: tuple
-    amplitude: float = 1.0
 
     def sample(self, lattice: SpaceTimeLattice) -> Field:
         from .bumps import space_time_bump
         return space_time_bump(lattice, self.t_center, self.t_width,
-                               self.x_center, self.x_width, self.amplitude)
+                               self.x_center, self.x_width)
 
     def value(self, t, x) -> np.ndarray:
         """Pointwise evaluation at arbitrary (t, x) with torus wrapping omitted
@@ -129,26 +129,25 @@ class BumpSpec:
         r2 = np.zeros(np.broadcast_shapes(t.shape, np.shape(x[0])), dtype=float)
         for c, w, xa in zip(self.x_center, self.x_width, x):
             r2 = r2 + ((np.asarray(xa) - c) / w) ** 2
-        return (self.amplitude * mollifier((t - self.t_center) / self.t_width)
-                * mollifier(np.sqrt(r2)))
+        return mollifier((t - self.t_center) / self.t_width) * mollifier(np.sqrt(r2))
 
 
-def _heat_kernel_periodic(t: np.ndarray, diffs: list, extent, images: int = 1) -> np.ndarray:
-    """Extent-periodized heat kernel (4 pi t)^(-d/2) exp(-|x|^2/(4t)), t > 0."""
+def _heat_kernel_periodic(t: np.ndarray, diffs: list, extent) -> np.ndarray:
+    """Extent-periodized heat kernel (4 pi t)^(-d/2) exp(-|x|^2/(4t)), t > 0,
+    summed over the nearest image per axis (3^d shifts)."""
     d = len(extent)
-    out = np.zeros(np.broadcast_shapes(t.shape, diffs[0].shape), dtype=float)
+    out = np.zeros(np.broadcast_shapes(t.shape, *(x.shape for x in diffs)), dtype=float)
     t_safe = np.where(t > 0, t, 1.0)
-    for shifts in np.ndindex(*(2 * images + 1,) * d):
+    for shifts in np.ndindex(*(3,) * d):
         r2 = np.zeros_like(out)
         for ax in range(d):
-            r2 = r2 + (diffs[ax] + (shifts[ax] - images) * extent[ax]) ** 2
+            r2 = r2 + (diffs[ax] + (shifts[ax] - 1) * extent[ax]) ** 2
         out += np.exp(-r2 / (4.0 * t_safe))
     out *= (4.0 * np.pi * t_safe) ** (-d / 2.0)
     return np.where(t > 0, out, 0.0)
 
 
-def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max,
-                              reference_factor: int = 2) -> dict:
+def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) -> dict:
     """Convergence of right-endpoint Riemann sums of the backward convolution.
 
     For each level n the rectangle (0, t_max) x torus is partitioned into
@@ -158,8 +157,8 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max,
 
         phi_n(s, y) = sum_m |Q_m| G(t_m - s, x_m - y) eta(t_m, x_m)
 
-    is evaluated on a common reference lattice (``reference_factor`` times the
-    finest level), where the reference solution phi = solve_backward(eta)
+    is evaluated on a common reference lattice (twice the finest level per
+    axis and in time), where the reference solution phi = solve_backward(eta)
     also lives.  Tabulates ||phi_n - phi||_0 per level plus the observed
     order between consecutive levels; the error column must decrease
     strictly.  This is the one place the heat kernel is evaluated pointwise
@@ -171,7 +170,7 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max,
     if any(b >= a for a, b in zip(levels[1:], levels)):
         raise ValueError("levels must be strictly increasing")
     d = len(extent)
-    n_ref = levels[-1] * reference_factor
+    n_ref = levels[-1] * 2
     ref = SpaceTimeLattice(d, tuple(extent), (n_ref,) * d, t_max, n_ref)
     eta_ref = bump.sample(ref)
     phi_ref = solve_backward(eta_ref)

@@ -134,10 +134,23 @@ def element_from_h(h: Field, measure: SpectralMeasure) -> RkhsElement:
     form of phi1 = dh/dt - Lap h — so solve_forward(phi1) reproduces h to
     round-off.  phi follows by the inverse density multiplier (Riesz zero
     mode dropped).
+
+    The two divisions amplify the round-off of h, at most t_max max g
+    relative to phi, by up to 1 / min(w g) over the modes with g > 0.  When
+    that conditioning exceeds 2^52 phi would be round-off alone, so it
+    raises ValueError instead (heat-kernel densities do this).
     """
     if h.layout is not Layout.SPACE_TIME:
         raise ValueError("element_from_h expects a space-time field")
     lat = h.lattice
+    g = measure.density(lat.xi_squared)
+    cond = lat.t_max * float(g.max()) / float(
+        np.min(lat.duhamel_weight * g, initial=np.inf, where=g > 0.0))
+    if cond > 2.0 ** 52:
+        raise ValueError(
+            f"element_from_h: the chain of the {measure.family.value} measure with "
+            f"alpha={measure.alpha} has conditioning {cond:.3e} > 2^52 on this "
+            "lattice, so phi would be round-off")
     H = as_frequency(h).values
     scale = float(np.abs(H).max())
     if scale > 0 and float(np.abs(H[0]).max()) > 1e-10 * scale:
@@ -276,17 +289,18 @@ def w12_norm(a: RkhsElement) -> float:
 # Bytes per complex (n_time+1) x n_space array of a norm-equivalence chunk:
 # enough samples to spread the per-call cost, few enough to stay in cache.
 CHUNK_BYTES = 256 * 1024
+# Largest accepted max/min norm ratio: a frozen regression constant, not a
+# sharp theoretical value.
+SPREAD_BOUND = 20.0
 
 
 def norm_equivalence_study(samples: int, measure: SpectralMeasure,
-                           lattice: SpaceTimeLattice, seed: int = 0,
-                           spread_bound: float = 20.0) -> dict:
+                           lattice: SpaceTimeLattice, seed: int = 0) -> dict:
     """Empirical two-sided norm equivalence over random band-limited elements.
 
     For each sample, ratio = krylov_norm(a) / ||a|| (the covariance-pairing
-    norm of phi).  Reports the min/max ratio; a spread beyond ``spread_bound``
-    (a frozen regression constant, not a sharp theoretical value) raises
-    InvariantViolation.
+    norm of phi).  Reports the min/max ratio; a spread beyond SPREAD_BOUND
+    raises InvariantViolation.
 
     The samples run in chunks along a leading sample axis.  The white noise
     is drawn in sample order and every operation keeps its per-sample order,
@@ -315,10 +329,10 @@ def norm_equivalence_study(samples: int, measure: SpectralMeasure,
     report = {"ratio_min": float(np.nanmin(ratios)),
               "ratio_max": float(np.nanmax(ratios)),
               "samples": samples,
-              "spread_bound": spread_bound}
+              "spread_bound": SPREAD_BOUND}
     report["spread"] = report["ratio_max"] / report["ratio_min"]
-    if report["spread"] > spread_bound:
+    if report["spread"] > SPREAD_BOUND:
         raise InvariantViolation(
             f"norm-equivalence spread {report['spread']:.3f} exceeds "
-            f"{spread_bound}")
+            f"{SPREAD_BOUND}")
     return report

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DalangConditionError
 from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
-                      forward_transform, inverse_transform, norm0, read_field,
+                      decode_field, forward_transform, inverse_transform, norm0,
                       write_field)
 from .spectral import SpectralMeasure, dalang_condition
 
@@ -119,24 +119,14 @@ class NoiseModel:
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         return self._rng.standard_normal((2,) + self.lattice.n_space)
 
-    def increment_amplitudes(self, seed: int, path: int, step: int) -> np.ndarray:
-        """Amplitudes eta_k(xi) of the step-``step`` noise increment."""
-        z = _unit_fields(self.lattice, self.unit_pair(seed, path, step))
-        return self.increment_scale * z[0]
-
 
 def sample_noise_increment(model: NoiseModel, seed: int, path: int, step: int) -> Field:
-    """Physical-space noise increment W(t_{k+1}) - W(t_k) as a space-only field."""
-    eta = model.increment_amplitudes(seed, path, step)
-    return increment_to_physical(model, eta)
-
-
-def increment_to_physical(model: NoiseModel, eta: np.ndarray) -> Field:
-    """Synthesize (2 pi)^(-d/2) sum_xi eta(xi) exp(i xi x) from amplitudes."""
+    """Physical-space noise increment W(t_{k+1}) - W(t_k) as a space-only field,
+    synthesized as (2 pi)^(-d/2) sum_xi eta_k(xi) exp(i xi x)."""
     lat = model.lattice
-    f = Field(lat, Representation.FREQUENCY, Layout.SPACE_ONLY,
-              eta / lat.freq_cell_volume)
-    return inverse_transform(f)
+    eta = model.increment_scale * _unit_fields(lat, model.unit_pair(seed, path, step))[0]
+    return inverse_transform(Field(lat, Representation.FREQUENCY, Layout.SPACE_ONLY,
+                                   eta / lat.freq_cell_volume))
 
 
 def _ou_chunks(model: NoiseModel, seed: int, paths: range):
@@ -233,9 +223,8 @@ class PathEnsemble:
         entries = []
         for i in range(self.n_paths):
             name = f"path_{i:05d}.fld"
-            write_field(self.path(i), directory / name)
-            digest = hashlib.sha256((directory / name).read_bytes()).hexdigest()
-            entries.append({"name": name, "sha256": digest})
+            blob = write_field(self.path(i), directory / name)
+            entries.append({"name": name, "sha256": hashlib.sha256(blob).hexdigest()})
         manifest = self.manifest()
         manifest["files"] = entries
         out = directory / "manifest.json"
@@ -248,21 +237,32 @@ class PathEnsemble:
         if directory.name == "manifest.json":  # accept what save() returned
             directory = directory.parent
         manifest = json.loads((directory / "manifest.json").read_text())
-        if len(manifest["files"]) != manifest["n_paths"]:
-            raise ValueError(f"manifest lists {len(manifest['files'])} files "
-                             f"for {manifest['n_paths']} paths")
-        lat = SpaceTimeLattice.from_dict(manifest["lattice"])
-        m = manifest["measure"]
-        measure = SpectralMeasure(m["family"], m["alpha"], m["dim"], m["formal"])
-        values = np.zeros((manifest["n_paths"], lat.n_time + 1) + lat.n_space)
-        for i, entry in enumerate(manifest["files"]):
-            blob = (directory / entry["name"]).read_bytes()
-            digest = hashlib.sha256(blob).hexdigest()
-            if digest != entry["sha256"]:
-                raise ValueError(f"checksum mismatch for {entry['name']}")
-            values[i] = read_field(directory / entry["name"]).real_values()
-        return PathEnsemble(lat, measure, manifest["seed"], manifest["n_paths"],
-                            values, manifest["rng_id"])
+        try:
+            if manifest["format"] != "spde-lab-ensemble-1":
+                raise ValueError(f"unknown ensemble format {manifest['format']!r}")
+            files = [(e["name"], e["sha256"]) for e in manifest["files"]]
+            n_paths, seed, rng_id = (manifest[k] for k in ("n_paths", "seed", "rng_id"))
+            lat = SpaceTimeLattice.from_dict(manifest["lattice"])
+            m = manifest["measure"]
+            measure = SpectralMeasure(m["family"], m["alpha"], m["dim"], m["formal"])
+        except KeyError as exc:
+            raise ValueError(f"manifest is missing key {exc}") from None
+        if len(files) != n_paths:
+            raise ValueError(f"manifest lists {len(files)} files for {n_paths} paths")
+        values = np.zeros((n_paths, lat.n_time + 1) + lat.n_space)
+        for i, (name, sha256) in enumerate(files):
+            if name in ("", ".", "..") or Path(name).name != name:
+                raise ValueError(f"manifest file name {name!r} is not a plain file name")
+            blob = (directory / name).read_bytes()
+            if hashlib.sha256(blob).hexdigest() != sha256:
+                raise ValueError(f"checksum mismatch for {name}")
+            f = decode_field(blob)
+            if (f.lattice, f.representation, f.layout) != (
+                    lat, Representation.PHYSICAL, Layout.SPACE_TIME):
+                raise ValueError(f"{name} is not a physical space-time field "
+                                 "on the manifest's lattice")
+            values[i] = f.real_values()
+        return PathEnsemble(lat, measure, seed, n_paths, values, rng_id)
 
 
 def simulate_u(measure: SpectralMeasure, lattice: SpaceTimeLattice, seed: int,
@@ -276,12 +276,6 @@ def simulate_u(measure: SpectralMeasure, lattice: SpaceTimeLattice, seed: int,
 
 
 # -- pathwise stochastic integrals and Monte Carlo checks ---------------------
-
-
-def stochastic_integral(model: NoiseModel, phi: Field, seed: int, path: int) -> float:
-    """M(phi) = sum_{k<n_time} sum_xi Fphi(t_k, xi) conj(eta_k(xi)) for one path."""
-    FF = _integration_transforms(model.lattice, [phi])
-    return float(_pathwise_integrals(model, FF, seed, range(path, path + 1))[0, 0])
 
 
 def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int) -> list:
@@ -307,11 +301,6 @@ def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int) -> list:
                      "z_score": (mc - exact) / sd if sd > 0 else 0.0,
                      "n_paths": n_paths})
     return rows
-
-
-def mc_isometry(model: NoiseModel, phi: Field, seed: int, n_paths: int) -> dict:
-    """Sample variance of M(phi) against the exact value ||phi||_0^2."""
-    return mc_isometry_batch(model, [phi], seed, n_paths)[0]
 
 
 def mc_representer_field(model: NoiseModel, phi: Field, seed: int,

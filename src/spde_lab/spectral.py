@@ -115,14 +115,6 @@ class SpectralMeasure:
         )
 
 
-def density(m: SpectralMeasure, xi) -> float:
-    """g(|xi|^2) for a single frequency vector xi (zero-mode sentinel applies)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (m.dim,):
-        raise ValueError(f"expected a frequency vector of length {m.dim}, got shape {xi.shape}")
-    return float(m.density(np.dot(xi, xi)))
-
-
 def dalang_condition(m: SpectralMeasure) -> bool:
     """Closed-form decision of integral (1+|xi|^2)^(-1) mu(dxi) < infinity.
 

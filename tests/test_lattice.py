@@ -1,5 +1,7 @@
 """Lattice, fields, transforms, and the covariance pairing."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from spde_lab import (
     write_field,
     zero_field,
 )
+from spde_lab.lattice import decode_field
 
 
 def _lat(dim=1, n=32, nt=16, L=8.0, T=1.0):
@@ -204,6 +207,35 @@ def test_field_container_rejects_unknown_codes(tmp_path):
                       + full[offset + 8:])
         with pytest.raises(ValueError, match="unknown representation/layout"):
             read_field(p)
+
+
+def test_write_field_returns_the_bytes_written(tmp_path):
+    f = random_band_limited(_lat(n=16, nt=8), np.random.default_rng(7))
+    p = tmp_path / "f.fld"
+    blob = write_field(f, p)
+    assert blob == p.read_bytes()
+    assert decode_field(blob).values.tobytes() == read_field(p).values.tobytes()
+
+
+def _space_only_header(n_sites: int) -> bytes:
+    """A 1-D space-only physical container header declaring ``n_sites``."""
+    return struct.pack("<8sqqqddqq", b"SPDEFLD1", 1, n_sites, 1, 8.0, 1.0, 0, 0)
+
+
+def test_field_container_rejects_oversized_declared_count(tmp_path):
+    """96 bytes that declare 2^62 sites are rejected before any read."""
+    p = tmp_path / "f.fld"
+    p.write_bytes(_space_only_header(2 ** 62) + bytes(32))
+    with pytest.raises(ValueError, match="truncated field container"):
+        read_field(p)
+
+
+def test_field_container_rejects_trailing_bytes(tmp_path):
+    p = tmp_path / "f.fld"
+    p.write_bytes(_space_only_header(2) + bytes(32 + 8))
+    with pytest.raises(ValueError, match="8 bytes after its payload"):
+        read_field(p)
+    assert decode_field(p.read_bytes()[:-8]).values.shape == (2,)
 
 
 def test_step_tables_match_closed_forms():

@@ -121,6 +121,21 @@ def test_element_from_h_rejects_nonzero_initial_slice():
         element_from_h(h, SpectralMeasure("bessel", 2.0, 1))
 
 
+@pytest.mark.parametrize("lat", [
+    SpaceTimeLattice(1, (8.0,), (32,), 1.0, 17),
+    SpaceTimeLattice(2, (8.0, 8.0), (16, 16), 1.0, 8),
+], ids=["1d", "2d"])
+def test_element_from_h_rejects_ill_conditioned_chain(lat):
+    """Heat-kernel densities fall to ~1e-300, so dividing by w g would turn
+    the round-off of h into phi values near 1e248 or NaN; the inversion
+    refuses instead, naming the measure and the conditioning."""
+    m = SpectralMeasure("heat_kernel", 1.0, lat.dim)
+    h = representer(random_band_limited(lat, np.random.default_rng(3)), m,
+                    check=False).h
+    with pytest.raises(ValueError, match=r"heat_kernel .*alpha=1\.0.*conditioning"):
+        element_from_h(h, m)
+
+
 def test_heat_column_reproducing_identity():
     """inner0(phi, column@p) equals h_phi at p for every probe, to 1e-10."""
     lat = _lat()

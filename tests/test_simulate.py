@@ -15,7 +15,6 @@ from spde_lab import (
     SpectralMeasure,
     kernel_eval,
     mc_covariance,
-    mc_isometry,
     mc_isometry_batch,
     mc_representer_field,
     norm0,
@@ -23,7 +22,7 @@ from spde_lab import (
     sample_noise_increment,
     simulate_u,
     spectral_amplitudes,
-    stochastic_integral,
+    write_field,
 )
 from spde_lab import simulate
 from spde_lab.markov import covariance_oracle
@@ -205,13 +204,13 @@ def test_single_path_variance_matches_oracle():
 def test_isometry_small_ensemble():
     model = _model(n=16, nt=8)
     phi = random_band_limited(model.lattice, np.random.default_rng(3))
-    row = mc_isometry(model, phi, seed=21, n_paths=1500)
+    row = mc_isometry_batch(model, [phi], seed=21, n_paths=1500)[0]
     assert row["exact"] == pytest.approx(norm0(phi, model.measure) ** 2, rel=1e-12)
     assert abs(row["z_score"]) < 5.0
 
 
 @pytest.mark.parametrize("run, n_paths", [
-    (lambda m, phi, n: mc_isometry(m, phi, 0, n), 1),
+    (lambda m, phi, n: mc_isometry_batch(m, [phi], 0, n)[0], 1),
     (lambda m, phi, n: mc_isometry_batch(m, [phi], 0, n), 1),
     (lambda m, phi, n: mc_representer_field(m, phi, 0, n), 0),
     (lambda m, phi, n: mc_covariance(m, [(4, (3,))], 0, n), 0),
@@ -229,7 +228,7 @@ def test_isometry_batch_matches_single():
     phis = [random_band_limited(model.lattice, rng) for _ in range(3)]
     batch = mc_isometry_batch(model, phis, seed=8, n_paths=200)
     for phi, row in zip(phis, batch):
-        single = mc_isometry(model, phi, seed=8, n_paths=200)
+        single = mc_isometry_batch(model, [phi], seed=8, n_paths=200)[0]
         assert single["mc_var"] == pytest.approx(row["mc_var"], rel=1e-12)
 
 
@@ -237,7 +236,8 @@ def test_stochastic_integral_mean_zero_linear():
     model = _model(n=16, nt=8)
     rng = np.random.default_rng(5)
     phi = random_band_limited(model.lattice, rng)
-    vals = np.array([stochastic_integral(model, phi, 31, p) for p in range(600)])
+    FF = simulate._integration_transforms(model.lattice, [phi])
+    vals = simulate._pathwise_integrals(model, FF, 31, range(600))[:, 0]
     sd = norm0(phi, model.measure)
     assert abs(vals.mean()) < 5.0 * sd / np.sqrt(600)
 
@@ -282,4 +282,71 @@ def test_ensemble_load_detects_corruption(tmp_path):
     raw[-1] ^= 0xFF
     victim.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="checksum"):
+        PathEnsemble.load(d)
+
+
+def _saved(tmp_path, seed=3, name="run"):
+    ens = simulate_u(SpectralMeasure("bessel", 2.0, 1), _lat(n=16, nt=8),
+                     seed=seed, n_paths=2)
+    return ens, ens.save(tmp_path / name).parent
+
+
+def test_ensemble_load_decodes_the_bytes_it_verified(tmp_path, monkeypatch):
+    """A container rewritten after its checksum passed does not reach the values."""
+    ens, d = _saved(tmp_path)
+    _, other = _saved(tmp_path, seed=4, name="other")
+    real_sha256 = hashlib.sha256
+    swapped = []
+
+    def sha256_then_swap(blob):
+        digest = real_sha256(blob)
+        if not swapped:  # rewrite path 0 right after it is hashed
+            swapped.append((d / "path_00000.fld").write_bytes(
+                (other / "path_00000.fld").read_bytes()))
+        return digest
+
+    monkeypatch.setattr(simulate.hashlib, "sha256", sha256_then_swap)
+    np.testing.assert_array_equal(PathEnsemble.load(d).values, ens.values)
+
+
+def _edit_manifest(d, edit):
+    manifest = json.loads((d / "manifest.json").read_text())
+    edit(manifest)
+    (d / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.pop("rng_id"), "missing key 'rng_id'"),
+    (lambda m: m["files"][1].pop("sha256"), "missing key 'sha256'"),
+    (lambda m: m["lattice"].pop("t_max"), "missing key 't_max'"),
+    (lambda m: m.update(format="spde-lab-ensemble-2"), "unknown ensemble format"),
+], ids=["top_key", "file_key", "lattice_key", "format"])
+def test_ensemble_load_rejects_bad_manifest(tmp_path, edit, message):
+    _, d = _saved(tmp_path)
+    _edit_manifest(d, edit)
+    with pytest.raises(ValueError, match=message):
+        PathEnsemble.load(d)
+
+
+@pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "parent"])
+def test_ensemble_load_rejects_names_outside_its_directory(tmp_path, absolute):
+    """A listed name that leaves the directory is refused, even when the file
+    it points at exists and matches its checksum."""
+    _, d = _saved(tmp_path)
+    outside = tmp_path / "outside.fld"
+    outside.write_bytes((d / "path_00000.fld").read_bytes())
+    name = str(outside) if absolute else "../outside.fld"
+    _edit_manifest(d, lambda m: m["files"][0].update(name=name))
+    with pytest.raises(ValueError, match="not a plain file name"):
+        PathEnsemble.load(d)
+
+
+def test_ensemble_load_rejects_container_of_another_shape(tmp_path):
+    """A checksummed space-only container would broadcast over every slice."""
+    ens, d = _saved(tmp_path)
+    blob = write_field(sample_noise_increment(NoiseModel(ens.measure, ens.lattice),
+                                              3, 0, 0), d / "path_00000.fld")
+    _edit_manifest(d, lambda m: m["files"][0].update(
+        sha256=hashlib.sha256(blob).hexdigest()))
+    with pytest.raises(ValueError, match="not a physical space-time field"):
         PathEnsemble.load(d)

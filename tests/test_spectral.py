@@ -11,7 +11,6 @@ from spde_lab import (
     SpaceTimeLattice,
     SpectralMeasure,
     dalang_condition,
-    density,
     density_integrable,
     heat_kernel_closed_form,
     kernel_eval,
@@ -47,13 +46,6 @@ def test_heat_kernel_density_formula():
     np.testing.assert_allclose(m.density(xi2),
                                np.exp(-4.0 * math.pi**2 * 0.7 * xi2),
                                rtol=1e-15)
-
-
-def test_density_is_radial_in_full_argument():
-    m = SpectralMeasure("bessel", 1.5, 2)
-    xi_a = np.array([3.0, 4.0])
-    xi_b = np.array([5.0, 0.0])  # same modulus
-    assert density(m, xi_a) == pytest.approx(density(m, xi_b), rel=1e-15)
 
 
 def test_parameter_validation():
