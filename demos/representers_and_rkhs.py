@@ -26,7 +26,6 @@ from spde_lab import (
     random_band_limited,
     representer,
     rkhs_inner,
-    w12_norm,
 )
 
 
@@ -64,7 +63,6 @@ def main():
     print(f"  pairing norm        {elem.norm():.5f}")
     print(f"  heat-regularity     {krylov_norm(elem):.5f}"
           "   (||Lap h|| + ||phi1|| in the matched Sobolev scale)")
-    print(f"  plain W(1,2) check  {w12_norm(elem):.5f}")
 
     print("\n=== empirical norm equivalence over 200 random elements ===")
     study = norm_equivalence_study(200, m, lat, seed=7)

@@ -28,7 +28,7 @@ from .simulate import (NoiseModel, PathEnsemble, RNG_ID, mc_covariance,
                        sample_noise_increment, simulate_u, spectral_amplitudes)
 from .rkhs import (RkhsElement, duality_check, element_from_h, heat_column,
                    krylov_norm, markov_guarantee, norm_equivalence_study,
-                   representer, rkhs_inner, w12_norm)
+                   representer, rkhs_inner)
 from .markov import (CovarianceMatrix, RegionPartition, assemble_covariance,
                      band_width_study, column_gram_check, conditional_cov_screen,
                      covariance_oracle, kunsch_decomposition,
@@ -56,7 +56,7 @@ __all__ = [
     "sample_noise_increment", "spectral_amplitudes", "mc_isometry_batch",
     "mc_representer_field", "mc_covariance",
     "RkhsElement", "representer", "element_from_h", "heat_column",
-    "rkhs_inner", "duality_check", "krylov_norm", "w12_norm",
+    "rkhs_inner", "duality_check", "krylov_norm",
     "markov_guarantee", "norm_equivalence_study",
     "CovarianceMatrix", "RegionPartition", "covariance_oracle",
     "assemble_covariance", "region_partition", "conditional_cov_screen",

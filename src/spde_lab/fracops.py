@@ -65,26 +65,21 @@ def remove_mean(f: Field) -> Field:
     return apply_multiplier(f, sym)
 
 
-def operator_J(phi: Field, m: SpectralMeasure, formal: bool = False) -> Field:
+def operator_J(phi: Field, m: SpectralMeasure) -> Field:
     """The unitary J from the Riesz covariance pairing into space-time L2.
 
-    Requires a Riesz measure with alpha = 4k.  The Sobolev-embedding
-    constraint 2 < dim/(2k) is enforced unless ``formal`` is set (symbol-level
-    mode on low-dimensional lattices).  F(J phi) = |xi|^(-2k) F(phi); the zero
-    mode is annihilated, matching the zero-mode convention of the pairing.
+    Requires a Riesz measure with alpha = 4k.  A non-formal Riesz measure has
+    alpha < dim, so it meets the Sobolev-embedding constraint 2 < dim/(2k); a
+    formal one (``m.formal``) is symbol-level use on a low-dimensional lattice.
+    F(J phi) = |xi|^(-2k) F(phi); the zero mode is annihilated, matching the
+    zero-mode convention of the pairing.
     """
     if m.family is not Family.RIESZ:
         raise ValueError("operator_J is defined for Riesz measures only")
     k4 = m.alpha / 4.0
     if abs(k4 - round(k4)) > 1e-12 or round(k4) < 1:
         raise ValueError(f"operator_J requires alpha = 4k for integer k >= 1, got alpha={m.alpha}")
-    k = int(round(k4))
-    if not formal and not (2 * k < m.dim / 2.0):
-        raise ValueError(
-            f"embedding constraint 2 < dim/(2k) fails for dim={m.dim}, k={k}; "
-            "pass formal=True for symbol-level use"
-        )
-    return apply_multiplier(phi, riesz_potential(2 * k))
+    return apply_multiplier(phi, riesz_potential(2 * round(k4)))
 
 
 def localization_check(kappa: Field, chi: Field, k: int) -> dict:

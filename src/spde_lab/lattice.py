@@ -75,6 +75,9 @@ class SpaceTimeLattice:
             raise ValueError("dim must be >= 1")
         if len(self.extent) != self.dim or len(self.n_space) != self.dim:
             raise ValueError("extent and n_space must have one entry per axis")
+        if not all(math.isfinite(v) for v in self.extent + (self.t_max,)):
+            raise ValueError(f"extent and t_max must be finite, got extent={self.extent}, "
+                             f"t_max={self.t_max}")
         if any(L <= 0 for L in self.extent):
             raise ValueError("extents must be positive")
         if any(not _is_power_of_two(n) for n in self.n_space):

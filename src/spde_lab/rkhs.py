@@ -269,23 +269,6 @@ def krylov_norm(a: RkhsElement) -> float:
     return float(_krylov_norms(H, F1, m.alpha / 2.0, a.h.lattice)[0])
 
 
-def w12_norm(a: RkhsElement) -> float:
-    """Plain parabolic diagnostic (||h||^2 + ||dh/dt||^2 + ||Lap h||^2)^(1/2).
-
-    The time derivative is the forward difference on the step grid; this is
-    a monitored diagnostic, not an asserted equality.
-    """
-    lat = a.h.lattice
-    H = forward_transform(a.h).values
-    dH = (H[1:] - H[:-1]) / lat.dt
-    w_lap = lat.xi_squared ** 2
-    cell = lat.dt * lat.freq_cell_volume
-    n_h = float(np.sum(np.abs(H[:-1]) ** 2)) * cell
-    n_dt = float(np.sum(np.abs(dH) ** 2)) * cell
-    n_xx = float(np.sum((np.abs(H[:-1]) ** 2) * w_lap)) * cell
-    return math.sqrt(n_h + n_dt + n_xx)
-
-
 # Bytes per complex (n_time+1) x n_space array of a norm-equivalence chunk:
 # enough samples to spread the per-call cost, few enough to stay in cache.
 CHUNK_BYTES = 256 * 1024

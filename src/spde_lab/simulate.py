@@ -130,11 +130,11 @@ def sample_noise_increment(model: NoiseModel, seed: int, path: int, step: int) -
 
 
 def _ou_chunks(model: NoiseModel, seed: int, paths: range):
-    """Step ``paths`` a chunk at a time, yielding (chunk, eta, amps).
+    """Draw ``paths`` a chunk at a time, yielding (chunk, eta, eps).
 
-    ``chunk`` is a sub-range of ``paths``; eta_k(xi) is (c, n_time)+n_space
-    and u^(t_k, xi) is (c, n_time+1)+n_space, u^(t_0) = 0.  Values do not
-    depend on the chunking: each (path, step) draws one unit pair.
+    ``chunk`` is a sub-range of ``paths``, eta_k(xi) is (c, n_time, N) and
+    eps_k(xi) is (c, n_time)+n_space; ``lattice.march(eps)`` gives u^(t_k, xi).
+    Values do not depend on the chunking: each (path, step) draws one unit pair.
     """
     lat = model.lattice
     size = max(1, CHUNK_BYTES // (lat.n_time * 2 * math.prod(lat.n_space) * 16))
@@ -143,26 +143,39 @@ def _ou_chunks(model: NoiseModel, seed: int, paths: range):
         raw = [[model.unit_pair(seed, p, k) for k in range(lat.n_time)] for p in chunk]
         z = _unit_fields(lat, np.array(raw))
         eta = model.increment_scale * z[:, :, 0]
-        yield chunk, eta, lat.march(lat.loading * eta + model.tau * z[:, :, 1])
+        yield (chunk, eta.reshape(len(chunk), lat.n_time, -1),
+               lat.loading * eta + model.tau * z[:, :, 1])
 
 
-def _pathwise_integrals(model: NoiseModel, FF: np.ndarray, seed: int,
-                        paths: range) -> np.ndarray:
-    """M(phi_j) = sum_k sum_xi Fphi_j(t_k, xi) conj(eta_k(xi)) for each path.
+def _pathwise_integrals(FF: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """M(phi_j) = sum_k sum_xi Fphi_j(t_k, xi) conj(eta_k(xi)) for a chunk of paths.
 
     ``FF`` holds the transforms at the integration times, shape
-    (J, n_time, prod(n_space)); returns (len(paths), J) real integrals, each
-    path paired step by step in step order (a chunk-wide gemm rounds apart).
+    (J, n_time, prod(n_space)); returns (c, J) real integrals, added in step
+    order from one gemv per path and step (a chunk-wide gemm rounds apart).
     """
-    FF_k = [FF[:, k] for k in range(FF.shape[1])]
-    rows = []
-    for chunk, eta, _ in _ou_chunks(model, seed, paths):
-        for eta_p in np.conj(eta).reshape(len(chunk), len(FF_k), -1):
-            acc = np.zeros(FF.shape[0], dtype=np.complex128)
-            for F_k, eta_k in zip(FF_k, eta_p):
-                acc += F_k @ eta_k
-            rows.append(acc.real)
-    return np.array(rows).reshape(len(paths), FF.shape[0])
+    return sum((FF[:, k] @ np.conj(eta[:, k, :, None]))[..., 0]
+               for k in range(FF.shape[1])).real
+
+
+def _moments(products, n_paths: int) -> dict:
+    """``estimate`` and ``stderr`` of E[X] from chunks (c, ...) of per-path X.
+
+    The sums of X and X^2 add one path after another from zero (numpy sums
+    axis 0 row by row when a row holds two or more values, as each stacked
+    (X, X^2) row does).  The isometry keeps its pairwise column sums and gemv
+    pairing, the representer field its ``np.sum`` pairing: sharing either one
+    rounds apart by ~1e-14 on M(phi).
+    """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    sums = 0.0
+    for x in products:
+        x = np.stack([x, x * x], axis=1)
+        sums = np.sum(np.concatenate([np.broadcast_to(sums, x.shape[1:])[None], x]), axis=0)
+    estimate = sums[0] / n_paths
+    var = np.maximum(sums[1] / n_paths - estimate ** 2, 0.0)
+    return {"estimate": estimate, "stderr": np.sqrt(var / n_paths), "n_paths": n_paths}
 
 
 def _integration_transforms(lat: SpaceTimeLattice, phis) -> np.ndarray:
@@ -178,8 +191,8 @@ def _integration_transforms(lat: SpaceTimeLattice, phis) -> np.ndarray:
 
 def spectral_amplitudes(model: NoiseModel, seed: int, path: int) -> np.ndarray:
     """One path of solution amplitudes u^(t_k, xi), shape (n_time+1,)+n_space."""
-    _, _, amps = next(_ou_chunks(model, seed, range(path, path + 1)))
-    return amps[0]
+    _, _, eps = next(_ou_chunks(model, seed, range(path, path + 1)))
+    return model.lattice.march(eps)[0]
 
 
 def _amplitudes_to_physical(lat: SpaceTimeLattice, amps: np.ndarray) -> np.ndarray:
@@ -270,8 +283,8 @@ def simulate_u(measure: SpectralMeasure, lattice: SpaceTimeLattice, seed: int,
     """Sample ``n_paths`` exact-in-law solution paths from zero initial data."""
     model = NoiseModel(measure, lattice)
     values = np.zeros((n_paths, lattice.n_time + 1) + lattice.n_space)
-    for chunk, _, amps in _ou_chunks(model, seed, range(n_paths)):
-        values[chunk.start:chunk.stop] = _amplitudes_to_physical(lattice, amps)
+    for chunk, _, eps in _ou_chunks(model, seed, range(n_paths)):
+        values[chunk.start:chunk.stop] = _amplitudes_to_physical(lattice, lattice.march(eps))
     return PathEnsemble(lattice, measure, seed, n_paths, values)
 
 
@@ -290,7 +303,8 @@ def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int) -> list:
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a sample variance, got {n_paths}")
     FF = _integration_transforms(model.lattice, phis)
-    samples = _pathwise_integrals(model, FF, seed, range(n_paths))
+    samples = np.concatenate([_pathwise_integrals(FF, eta) for _, eta, _
+                              in _ou_chunks(model, seed, range(n_paths))])
     rows = []
     for j, phi in enumerate(phis):
         exact = norm0(phi, model.measure) ** 2
@@ -307,56 +321,42 @@ def mc_representer_field(model: NoiseModel, phi: Field, seed: int,
                          n_paths: int) -> dict:
     """Monte Carlo E[M(phi) u(t, x)] at every lattice point at once.
 
-    Returns ``estimate`` and ``stderr`` arrays of shape (n_time+1,)+n_space,
-    from running sums of the per-path products M(phi) u and of their squares,
-    added in path order (memory does not grow with ``n_paths``).
+    Returns ``estimate`` and ``stderr`` arrays of shape (n_time+1,)+n_space
+    from the per-path products M(phi) u; memory does not grow with ``n_paths``.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     lat = model.lattice
-    F = forward_transform(phi).values
-    s1 = np.zeros((lat.n_time + 1,) + lat.n_space)
-    s2 = np.zeros_like(s1)
-    for _, eta, amps in _ou_chunks(model, seed, range(n_paths)):
-        M = np.zeros(len(eta), dtype=np.complex128)
-        for k in range(lat.n_time):
-            M += np.sum((F[k] * np.conj(eta[:, k])).reshape(len(eta), -1), axis=-1)
-        M = M.real.reshape((-1,) + (1,) * (lat.dim + 1))
-        for prod in M * _amplitudes_to_physical(lat, amps):
-            s1 += prod
-            s2 += prod * prod
-    estimate = s1 / n_paths
-    var = np.maximum(s2 / n_paths - estimate ** 2, 0.0)
-    return {"estimate": estimate, "stderr": np.sqrt(var / n_paths),
-            "n_paths": n_paths}
+    F = _integration_transforms(lat, [phi])[0]
+
+    def products():
+        for _, eta, eps in _ou_chunks(model, seed, range(n_paths)):
+            M = sum(np.sum(F[k] * np.conj(eta[:, k]), axis=-1) for k in range(lat.n_time))
+            yield (M.real.reshape((-1,) + (1,) * (lat.dim + 1))
+                   * _amplitudes_to_physical(lat, lat.march(eps)))
+
+    return _moments(products(), n_paths)
 
 
 def mc_covariance(model: NoiseModel, points, seed: int, n_paths: int) -> dict:
     """Monte Carlo second-moment matrix E u(p) u(q) over the given grid points.
 
-    ``points`` is a sequence of (time_index, space_index_tuple).  Returns the
-    estimate matrix and per-entry standard errors.  Per-path values are stored
-    and reduced in path order afterwards.
+    ``points`` is a sequence of (time_index in [0, n_time], space_index_tuple);
+    space indices wrap as j mod n.  Returns the estimate and standard errors.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     lat = model.lattice
-    P = len(points)
     times = np.array([int(m) for m, _ in points], dtype=int)
+    if bad := [p for p, m in zip(points, times) if not 0 <= m <= lat.n_time]:
+        raise ValueError(f"point {bad[0]} has a time index outside [0, {lat.n_time}]")
     phases = np.stack([lat.point_phase(j).ravel() for _, j in points])  # (P, N)
     rows_at = [(m, rows, phases[rows]) for m in range(1, lat.n_time + 1)
                if (rows := np.nonzero(times == m)[0]).size]
     c_d = (2.0 * np.pi) ** (-lat.dim / 2.0)
-    us = np.zeros((n_paths, P))  # points at t = 0 keep u = 0
-    for chunk, _, amps in _ou_chunks(model, seed, range(n_paths)):
-        for p, amps_p in zip(chunk, amps):
+
+    def products():
+        for chunk, _, eps in _ou_chunks(model, seed, range(n_paths)):
+            amps = lat.march(eps).reshape(len(chunk), lat.n_time + 1, -1)
+            us = np.zeros((len(chunk), len(points)))  # points at t = 0 keep u = 0
             for m, rows, ph in rows_at:
-                us[p, rows] = (c_d * (ph @ amps_p[m].ravel())).real
-    mean = np.zeros((P, P))
-    stderr = np.zeros((P, P))
-    for a in range(P):
-        prod = us[:, a, None] * us  # (n_paths, P)
-        mean[a] = np.sum(prod, axis=0) / n_paths
-        var = np.maximum(np.sum(prod * prod, axis=0) / n_paths - mean[a] ** 2, 0.0)
-        stderr[a] = np.sqrt(var / n_paths)
-    return {"estimate": mean, "stderr": stderr, "n_paths": n_paths}
+                us[:, rows] = (c_d * (ph @ amps[:, m, :, None])[..., 0]).real
+            yield us[:, :, None] * us[:, None, :]
+
+    return _moments(products(), n_paths)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -40,9 +40,6 @@ class Family(str, Enum):
     RIESZ = "riesz"
     BESSEL = "bessel"
     HEAT_KERNEL = "heat_kernel"
-
-
-_ALPHA_FREE = (Family.WHITE,)
 
 
 @dataclass(frozen=True)
@@ -98,21 +95,6 @@ class SpectralMeasure:
         with np.errstate(divide="ignore"):
             out = np.where(r > 0.0, r ** (-self.alpha / 2.0), 0.0)
         return out
-
-    def to_dict(self) -> dict:
-        d = {"family": self.family.value, "alpha": float(self.alpha), "dim": int(self.dim)}
-        if self.formal:
-            d["formal"] = True
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "SpectralMeasure":
-        return SpectralMeasure(
-            family=Family(d["family"]),
-            alpha=float(d.get("alpha", 0.0)),
-            dim=int(d["dim"]),
-            formal=bool(d.get("formal", False)),
-        )
 
 
 def dalang_condition(m: SpectralMeasure) -> bool:

@@ -139,7 +139,7 @@ def test_c05_fractional_operator_suite():
 
     m4 = SpectralMeasure("riesz", 4.0, 1, formal=True)
     phi = random_band_limited(lat, rng)
-    j_phi = operator_J(phi, m4, formal=True)
+    j_phi = operator_J(phi, m4)
     iso_err = abs(l2_norm(j_phi) - norm0(phi, m4)) / norm0(phi, m4)
 
     h = random_band_limited(lat, rng)

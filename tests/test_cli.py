@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -367,3 +370,44 @@ def test_output_tree_matches_pinned_digest(tmp_path, capsys, command):
         digest.update(rel.as_posix().encode() + b"\0" + blob)
     assert digest.hexdigest() == pinned
     capsys.readouterr()
+
+
+# Runs the covariance and sample configs of PINNED_TREES, then prints the
+# bytes of test_simulate's pinned isometry rows.
+_BLAS_CHILD = """
+import numpy as np
+from spde_lab import (NoiseModel, SpaceTimeLattice, SpectralMeasure,
+                      mc_isometry_batch, random_band_limited)
+from spde_lab.cli import main
+
+for command in ("covariance", "sample"):
+    assert main([command, "--config", command + ".yaml", "--quiet"]) == 0
+lat = SpaceTimeLattice(1, (8.0,), (16,), 1.0, 8)
+rng = np.random.default_rng(4)
+phis = [random_band_limited(lat, rng) for _ in range(3)]
+model = NoiseModel(SpectralMeasure("bessel", 2.0, 1), lat)
+rows = mc_isometry_batch(model, phis, seed=8, n_paths=50)
+print(np.array([[r["mc_var"], r["exact"], r["z_score"]] for r in rows]).tobytes().hex())
+"""
+
+
+def test_mc_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """The per-chunk gemv pairing and point capture give the same bytes under
+    one and two OpenBLAS threads (markov does not, see above)."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    results = []
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        for command in ("covariance", "sample"):
+            _write_cfg(work / f"{command}.yaml",
+                       _base_cfg(f"{command}_out", **PINNED_TREES[command][0]))
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_CHILD], cwd=work, capture_output=True,
+            text=True, timeout=300,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath))
+        assert run.returncode == 0, run.stderr
+        results.append((run.stdout, _tree_bytes(work / "covariance_out"),
+                        _tree_bytes(work / "sample_out")))
+    assert results[0] == results[1]

@@ -103,11 +103,8 @@ def test_operator_J_requires_riesz_4k():
         operator_J(f, SpectralMeasure("bessel", 4.0, 1))
     with pytest.raises(ValueError):
         operator_J(f, SpectralMeasure("riesz", 0.5, 1))
-    # alpha = 4 in d=1 needs formal mode (embedding constraint fails)
-    m = SpectralMeasure("riesz", 4.0, 1, formal=True)
-    with pytest.raises(ValueError):
-        operator_J(f, m)
-    operator_J(f, m, formal=True)  # symbol-level use is allowed
+    # alpha = 4 in d=1 is a formal measure: symbol-level use is allowed
+    operator_J(f, SpectralMeasure("riesz", 4.0, 1, formal=True))
 
 
 def test_J_zero_is_zero():
@@ -115,7 +112,7 @@ def test_J_zero_is_zero():
     z = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
               np.zeros((lat.n_time + 1, lat.n_space[0]), dtype=np.complex128))
     m = SpectralMeasure("riesz", 4.0, 1, formal=True)
-    out = operator_J(z, m, formal=True)
+    out = operator_J(z, m)
     assert not np.any(out.values)
 
 
@@ -125,8 +122,8 @@ def test_J_isometry_onto_l2():
     m = SpectralMeasure("riesz", 4.0, 1, formal=True)
     phi = _random(lat, 4)
     eta = _random(lat, 5)
-    j_phi = operator_J(phi, m, formal=True)
-    j_eta = operator_J(eta, m, formal=True)
+    j_phi = operator_J(phi, m)
+    j_eta = operator_J(eta, m)
     assert l2_norm(j_phi) == pytest.approx(norm0(phi, m), rel=1e-10)
     assert l2_inner(j_phi, j_eta).real == pytest.approx(
         inner0(phi, eta, m).real, rel=1e-10)

@@ -45,6 +45,14 @@ def test_lattice_derived_quantities():
     assert lat.nyquist_radius == pytest.approx(2.0 * np.pi / 8.0 * 16)
 
 
+@pytest.mark.parametrize("extent, t_max", [(float("nan"), 1.0), (8.0, float("inf")),
+                                           (8.0, float("nan"))],
+                         ids=["extent_nan", "t_max_inf", "t_max_nan"])
+def test_lattice_rejects_non_finite_sizes(extent, t_max):
+    with pytest.raises(ValueError, match="must be finite"):
+        SpaceTimeLattice(1, (extent,), (8,), t_max, 4)
+
+
 def test_lattice_serialization_round_trip():
     lat = SpaceTimeLattice(2, (4.0, 6.0), (8, 16), 0.5, 10)
     assert SpaceTimeLattice.from_dict(lat.to_dict()) == lat
@@ -217,9 +225,9 @@ def test_write_field_returns_the_bytes_written(tmp_path):
     assert decode_field(blob).values.tobytes() == read_field(p).values.tobytes()
 
 
-def _space_only_header(n_sites: int) -> bytes:
+def _space_only_header(n_sites: int, extent=8.0, t_max=1.0) -> bytes:
     """A 1-D space-only physical container header declaring ``n_sites``."""
-    return struct.pack("<8sqqqddqq", b"SPDEFLD1", 1, n_sites, 1, 8.0, 1.0, 0, 0)
+    return struct.pack("<8sqqqddqq", b"SPDEFLD1", 1, n_sites, 1, extent, t_max, 0, 0)
 
 
 def test_field_container_rejects_oversized_declared_count(tmp_path):
@@ -228,6 +236,14 @@ def test_field_container_rejects_oversized_declared_count(tmp_path):
     p.write_bytes(_space_only_header(2 ** 62) + bytes(32))
     with pytest.raises(ValueError, match="truncated field container"):
         read_field(p)
+
+
+def test_field_container_rejects_non_finite_lattice():
+    """96 bytes whose lattice has extent NaN and t_max inf decode to no field."""
+    blob = _space_only_header(2, extent=float("nan"), t_max=float("inf")) + bytes(32)
+    assert len(blob) == 96
+    with pytest.raises(ValueError, match="must be finite"):
+        decode_field(blob)
 
 
 def test_field_container_rejects_trailing_bytes(tmp_path):

@@ -22,8 +22,8 @@ PUBLIC_NAMES = [
     "riemann_convergence_study", "riesz_derivative", "riesz_potential",
     "rkhs_inner", "sample_noise_increment", "simulate_u", "solve_backward",
     "solve_forward", "space_time_bump", "spatial_bump", "spectral_amplitudes",
-    "support_mask", "time_profile", "truncation_tail", "w12_norm",
-    "write_field", "zero_field",
+    "support_mask", "time_profile", "truncation_tail", "write_field",
+    "zero_field",
 ]
 
 

@@ -21,7 +21,6 @@ from spde_lab import (
     random_band_limited,
     representer,
     rkhs_inner,
-    w12_norm,
 )
 from spde_lab import rkhs
 
@@ -223,14 +222,6 @@ def test_krylov_norm_single_mode_closed_form():
     force_sq = np.sum(dt * np.full_like(t, 0.25)) * mode_l2 * 2.0
     expected = np.sqrt(lap_sq) + np.sqrt(force_sq)
     assert krylov_norm(a) == pytest.approx(expected, rel=1e-10)
-
-
-def test_w12_norm_positive_finite():
-    lat = _lat()
-    phi = random_band_limited(lat, np.random.default_rng(8))
-    a = representer(phi, SpectralMeasure("bessel", 2.0, 1), check=False)
-    v = w12_norm(a)
-    assert np.isfinite(v) and v > 0
 
 
 def test_markov_guarantee_flags():

@@ -21,6 +21,7 @@ from spde_lab import (
     random_band_limited,
     sample_noise_increment,
     simulate_u,
+    spatial_bump,
     spectral_amplitudes,
     write_field,
 )
@@ -222,6 +223,23 @@ def test_too_few_paths_rejected(run, n_paths):
         run(model, phi, n_paths)
 
 
+@pytest.mark.parametrize("m", [9, -1], ids=["after_t_max", "negative"])
+def test_mc_covariance_rejects_time_index_off_the_lattice(m):
+    """A time index outside [0, n_time] is refused, not read as zero moments."""
+    model = _model(n=16, nt=8)
+    with pytest.raises(ValueError, match=rf"point \({m}, \(3,\)\) has a time index"):
+        mc_covariance(model, [(2, (0,)), (m, (3,))], 0, 4)
+
+
+@pytest.mark.parametrize("phi", [
+    random_band_limited(_lat(n=16, nt=8, L=4.0), np.random.default_rng(1)),
+    spatial_bump(_lat(n=16, nt=8), (4.0,), 1.0),
+], ids=["other_lattice", "space_only"])
+def test_representer_field_validates_its_test_field(phi):
+    with pytest.raises(ValueError, match="test field"):
+        mc_representer_field(_model(n=16, nt=8), phi, 0, 4)
+
+
 def test_isometry_batch_matches_single():
     model = _model(n=16, nt=8)
     rng = np.random.default_rng(4)
@@ -237,7 +255,8 @@ def test_stochastic_integral_mean_zero_linear():
     rng = np.random.default_rng(5)
     phi = random_band_limited(model.lattice, rng)
     FF = simulate._integration_transforms(model.lattice, [phi])
-    vals = simulate._pathwise_integrals(model, FF, 31, range(600))[:, 0]
+    vals = np.concatenate([simulate._pathwise_integrals(FF, eta) for _, eta, _
+                           in simulate._ou_chunks(model, 31, range(600))])[:, 0]
     sd = norm0(phi, model.measure)
     assert abs(vals.mean()) < 5.0 * sd / np.sqrt(600)
 
@@ -320,7 +339,8 @@ def _edit_manifest(d, edit):
     (lambda m: m["files"][1].pop("sha256"), "missing key 'sha256'"),
     (lambda m: m["lattice"].pop("t_max"), "missing key 't_max'"),
     (lambda m: m.update(format="spde-lab-ensemble-2"), "unknown ensemble format"),
-], ids=["top_key", "file_key", "lattice_key", "format"])
+    (lambda m: m["lattice"].update(t_max=float("inf")), "must be finite"),
+], ids=["top_key", "file_key", "lattice_key", "format", "non_finite_lattice"])
 def test_ensemble_load_rejects_bad_manifest(tmp_path, edit, message):
     _, d = _saved(tmp_path)
     _edit_manifest(d, edit)

@@ -7,7 +7,6 @@ import pytest
 from scipy import integrate
 
 from spde_lab import (
-    Family,
     SpaceTimeLattice,
     SpectralMeasure,
     dalang_condition,
@@ -133,13 +132,6 @@ def test_density_integrable_flag():
     assert density_integrable(SpectralMeasure("bessel", 3.0, 2))
     assert not density_integrable(SpectralMeasure("bessel", 2.0, 2))
     assert not density_integrable(SpectralMeasure("white", 1.0, 1))
-
-
-def test_serialization_round_trip():
-    m = SpectralMeasure("riesz", 0.5, 1, formal=True)
-    again = SpectralMeasure.from_dict(m.to_dict())
-    assert again == m
-    assert again.family is Family.RIESZ
 
 
 def test_dalang_error_type_available():
