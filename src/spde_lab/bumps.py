@@ -40,16 +40,12 @@ def smooth_step(u) -> np.ndarray:
 def _radial2(lattice: SpaceTimeLattice, center, width) -> np.ndarray:
     """Squared scaled torus distance sum_ax ((x - c)_wrapped / w)^2."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (lattice.dim,):
+        raise ValueError(f"bump center {center.tolist()} needs {lattice.dim} coordinates "
+                         f"for a {lattice.dim}-D lattice")
     width = np.broadcast_to(np.asarray(width, dtype=float), (lattice.dim,))
-    r2 = np.zeros(lattice.n_space, dtype=float)
-    for ax in range(lattice.dim):
-        L = lattice.extent[ax]
-        x = lattice.space_axes()[ax]
-        diff = (x - center[ax] + L / 2.0) % L - L / 2.0
-        shape = [1] * lattice.dim
-        shape[ax] = -1
-        r2 = r2 + (diff / width[ax]).reshape(shape) ** 2
-    return r2
+    return sum((((x - c + L / 2.0) % L - L / 2.0) / w) ** 2 for x, c, L, w
+               in zip(lattice.space_axes(), center, lattice.extent, width))
 
 
 def spatial_bump(lattice: SpaceTimeLattice, center, width, amplitude: float = 1.0) -> Field:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Field, Layout, apply_multiplier, l2_norm
+from .lattice import Field, Layout, apply_multiplier, as_physical, l2_norm
 from .spectral import Family, SpectralMeasure
 from .bumps import support_mask
 
@@ -137,7 +137,6 @@ def mixed_time_space_norm(f: Field, q: float) -> float:
         raise ValueError("mixed norm is defined for space-time fields")
     if q <= 0:
         raise ValueError("q must be positive")
-    from .lattice import as_physical
     lat = f.lattice
     vals = np.abs(as_physical(f).values[:-1])
     spatial = np.sum(vals**q, axis=tuple(range(1, lat.dim + 1))) * lat.cell_volume

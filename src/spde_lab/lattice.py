@@ -33,6 +33,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,9 @@ class SpaceTimeLattice:
     n_time: int
 
     def __post_init__(self):
+        if not all(isinstance(n, Integral) for n in (self.dim, self.n_time, *self.n_space)):
+            raise ValueError(f"dim, n_space and n_time must be integers, got "
+                             f"{self.dim!r}, {self.n_space!r}, {self.n_time!r}")
         object.__setattr__(self, "extent", tuple(float(L) for L in self.extent))
         object.__setattr__(self, "n_space", tuple(int(n) for n in self.n_space))
         if self.dim < 1:
@@ -101,33 +105,31 @@ class SpaceTimeLattice:
         """Frequency cell volume prod(2 pi / L)."""
         return float(np.prod([2.0 * np.pi / L for L in self.extent]))
 
-    def space_axes(self) -> list:
-        """Per-axis coordinate arrays x_i = i * dx on [0, L)."""
-        return [np.arange(n) * (L / n) for L, n in zip(self.extent, self.n_space)]
+    def space_axes(self) -> tuple:
+        """Per-axis coordinates x_i = i * dx on [0, L), shaped to broadcast."""
+        return np.meshgrid(*(np.arange(n) * (L / n) for L, n in zip(self.extent, self.n_space)),
+                           indexing="ij", sparse=True)
 
     def grid_point(self, time_index, space_index) -> tuple:
         """(t_m, x_j) for indices (m, j); x_j = (j mod n) L / n on each axis."""
+        if len(space_index) != self.dim:
+            raise ValueError(f"space index {tuple(space_index)} has {len(space_index)} "
+                             f"entries for a {self.dim}-D lattice")
         return (time_index * self.dt,
                 tuple((int(j) % n) * L / n for j, n, L
                       in zip(space_index, self.n_space, self.extent)))
 
-    def xi_axes(self) -> list:
-        """Per-axis angular frequencies 2 pi k / L in FFT order."""
-        return [
-            2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
-            for L, n in zip(self.extent, self.n_space)
-        ]
+    def xi_axes(self) -> tuple:
+        """Per-axis angular frequencies 2 pi k / L in FFT order, shaped to
+        broadcast against the grid (axis ax has length n_ax on axis ax only)."""
+        return np.meshgrid(*(2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
+                             for L, n in zip(self.extent, self.n_space)),
+                           indexing="ij", sparse=True)
 
     @cached_property
     def xi_squared(self) -> np.ndarray:
         """|xi|^2 on the full frequency grid, shape n_space."""
-        axes = self.xi_axes()
-        out = np.zeros(self.n_space, dtype=float)
-        for ax, xi in enumerate(axes):
-            shape = [1] * self.dim
-            shape[ax] = -1
-            out = out + xi.reshape(shape) ** 2
-        return out
+        return sum(xi ** 2 for xi in self.xi_axes())
 
     # -- per-mode heat-semigroup tables over one step -------------------------
 
@@ -187,22 +189,23 @@ class SpaceTimeLattice:
             out[:, k + 1] += increments[:, k]
         return out
 
+    def phase(self, x) -> np.ndarray:
+        """xi . x = sum_ax xi_ax x_ax on the frequency grid for physical points
+        x of shape (..., dim); returns shape (..., *n_space)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"points of shape {x.shape} for a {self.dim}-D lattice")
+        x = np.moveaxis(x, -1, 0).reshape((self.dim,) + x.shape[:-1] + (1,) * self.dim)
+        return sum(xi * x_ax for xi, x_ax in zip(self.xi_axes(), x))
+
     def point_phase(self, space_index) -> np.ndarray:
-        """exp(i xi . x_j) on the frequency grid for the grid point with index j."""
+        """exp(i xi . x_j) on the frequency grid for the grid point with index j,
+        as a product of per-axis plane waves."""
         _, x_j = self.grid_point(0, space_index)
         phase = np.ones(self.n_space, dtype=np.complex128)
-        for ax, (xi, x) in enumerate(zip(self.xi_axes(), x_j)):
-            shape = [1] * self.dim
-            shape[ax] = -1
-            phase = phase * np.exp(1j * xi * x).reshape(shape)
+        for xi, x in zip(self.xi_axes(), x_j):
+            phase = phase * np.exp(1j * xi * x)
         return phase
-
-    def xi_component(self, axis: int) -> np.ndarray:
-        """xi_axis broadcast to the full frequency grid."""
-        xi = self.xi_axes()[axis]
-        shape = [1] * self.dim
-        shape[axis] = -1
-        return np.broadcast_to(xi.reshape(shape), self.n_space)
 
     @property
     def nyquist_radius(self) -> float:
@@ -229,11 +232,11 @@ class SpaceTimeLattice:
     @staticmethod
     def from_dict(d: dict) -> "SpaceTimeLattice":
         return SpaceTimeLattice(
-            dim=int(d["dim"]),
+            dim=d["dim"],
             extent=tuple(d["extent"]),
             n_space=tuple(d["n_space"]),
             t_max=float(d["t_max"]),
-            n_time=int(d["n_time"]),
+            n_time=d["n_time"],
         )
 
 
@@ -408,11 +411,10 @@ def band_limit(white: np.ndarray, lattice: SpaceTimeLattice) -> np.ndarray:
     """The values of random_band_limited for real draws ``white`` whose trailing
     axes are (n_time + 1, *n_space)."""
     mask = np.ones(lattice.n_space, dtype=bool)
-    for ax, n in enumerate(lattice.n_space):
-        k = np.fft.fftfreq(n) * n  # integer wavenumbers
-        shape_ax = [1] * lattice.dim
-        shape_ax[ax] = -1
-        mask &= np.abs(k.reshape(shape_ax)) <= 0.25 * n
+    wavenumbers = np.meshgrid(*(np.fft.fftfreq(n) * n for n in lattice.n_space),
+                              indexing="ij", sparse=True)
+    for k, n in zip(wavenumbers, lattice.n_space):
+        mask &= np.abs(k) <= 0.25 * n
     F = spectral_transform(white.astype(np.complex128), lattice)
     F *= mask
     out = spectral_transform(F, lattice, inverse=True).real.astype(np.complex128)
@@ -430,12 +432,9 @@ def refine_field(f: Field) -> Field:
     lat = f.lattice
     fine = SpaceTimeLattice(lat.dim, lat.extent, tuple(2 * n for n in lat.n_space),
                             lat.t_max, 2 * lat.n_time)
-    # spatial zero-padding per slice
+    # spatial zero-padding per slice: wavenumber k moves to index k mod 2n
     padded = np.zeros((lat.n_time + 1,) + fine.n_space, dtype=np.complex128)
-    dest = []
-    for n in lat.n_space:
-        k = (np.fft.fftfreq(n) * n).astype(int)
-        dest.append(np.where(k >= 0, k, k + 2 * n))
+    dest = [(np.fft.fftfreq(n) * n).astype(int) % (2 * n) for n in lat.n_space]
     padded[(slice(None),) + np.ix_(*dest)] = as_frequency(f).values
     spatial = spectral_transform(padded, fine, inverse=True)
     # linear time interpolation onto the refined slices

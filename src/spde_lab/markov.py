@@ -30,19 +30,27 @@ from scipy.linalg import cho_factor, cho_solve
 from .bumps import support_mask
 from .errors import InvariantViolation
 from .lattice import Field, Layout, Representation, SpaceTimeLattice, as_physical
-from .rkhs import RkhsElement, element_from_h, krylov_norm, rkhs_inner, rkhs_inner_raw
+from .rkhs import (RkhsElement, element_from_h, heat_column, krylov_norm, rkhs_inner,
+                   rkhs_inner_raw)
 from .spectral import Family, SpectralMeasure
+
+
+def _check_points(lattice: SpaceTimeLattice, points) -> None:
+    """Refuse the first point (t, (x...)) without one coordinate per axis."""
+    if bad := [p for p in points if len(p[1]) != lattice.dim]:
+        raise ValueError(f"point {bad[0]} has {len(bad[0][1])} coordinates for a "
+                         f"{lattice.dim}-D lattice")
 
 
 def covariance_oracle(measure: SpectralMeasure, lattice: SpaceTimeLattice,
                       p, q) -> float:
     """E u(p) u(q) for p = (t, (x...)), q = (s, (y...)), coordinates physical."""
+    _check_points(lattice, (p, q))
     t, x = p
     s, y = q
     if not (0.0 <= t <= lattice.t_max and 0.0 <= s <= lattice.t_max):
         raise ValueError("times must lie in [0, t_max]")
-    phase = sum(lattice.xi_component(ax) * (x[ax] - y[ax])
-                for ax in range(lattice.dim))
+    phase = lattice.phase(np.subtract(x, y))
     g = measure.density(lattice.xi_squared)
     c = (2.0 * np.pi) ** (-lattice.dim)
     return float(c * lattice.freq_cell_volume
@@ -73,6 +81,7 @@ def assemble_covariance(measure: SpectralMeasure, lattice: SpaceTimeLattice,
     zero (PSD projection) and recorded in ``meta``.
     """
     points = [(float(t), tuple(float(c) for c in x)) for t, x in points]
+    _check_points(lattice, points)
     P = len(points)
     if P > 4096:
         raise ValueError("dense covariance limited to 4096 points")
@@ -83,9 +92,8 @@ def assemble_covariance(measure: SpectralMeasure, lattice: SpaceTimeLattice,
 
     lam = lattice.xi_squared.ravel()
     order = np.argsort(lam)[::-1]  # sum low modes last: they carry most weight
-    xi = np.stack([lattice.xi_component(ax).ravel()[order]
-                   for ax in range(lattice.dim)])  # (d, N)
-    ph = x_arr @ xi  # (P, N)
+    # take keeps C order: a fancy column index returns a Fortran-ordered copy
+    ph = lattice.phase(x_arr).reshape(P, -1).take(order, axis=1)  # (P, N)
     F = np.concatenate([np.cos(ph), np.sin(ph)], axis=1)  # (P, 2N)
     w = ((2.0 * np.pi) ** (-lattice.dim) * lattice.freq_cell_volume
          * measure.density(lam[order]))
@@ -152,8 +160,7 @@ def region_partition(lattice: SpaceTimeLattice, points, rect_physical,
     """
     if band_width <= 0:
         raise ValueError("band width must be positive")
-    cells = [lattice.dt] + [lattice.extent[ax] / lattice.n_space[ax]
-                            for ax in range(lattice.dim)]
+    cells = [lattice.dt] + [L / n for L, n in zip(lattice.extent, lattice.n_space)]
     if len(rect_physical) != len(cells):
         raise ValueError("rect needs one (lo, hi) pair for time and each axis")
     rect_idx = tuple((lo / cell, hi / cell)
@@ -340,7 +347,6 @@ def column_gram_check(measure: SpectralMeasure, lattice: SpaceTimeLattice,
     two numbers agree to round-off by construction of the covariance-kind
     column weights.
     """
-    from .rkhs import heat_column
     col_p = heat_column(lattice, p_idx, kind="covariance")
     col_q = heat_column(lattice, q_idx, kind="covariance")
     gram = rkhs_inner_raw(col_p, col_q, measure)

@@ -29,7 +29,8 @@ import numpy as np
 from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
                       as_frequency, as_physical, forward_transform,
                       inverse_transform, norm0, refine_field)
-from .bumps import mollifier
+from .bumps import mollifier, space_time_bump
+from .spectral import periodized_heat_kernel
 
 
 def solve_forward(phi1: Field) -> Field:
@@ -118,7 +119,6 @@ class BumpSpec:
     x_width: tuple
 
     def sample(self, lattice: SpaceTimeLattice) -> Field:
-        from .bumps import space_time_bump
         return space_time_bump(lattice, self.t_center, self.t_width,
                                self.x_center, self.x_width)
 
@@ -126,25 +126,9 @@ class BumpSpec:
         """Pointwise evaluation at arbitrary (t, x) with torus wrapping omitted
         (callers keep supports away from the seam)."""
         t = np.asarray(t, dtype=float)
-        r2 = np.zeros(np.broadcast_shapes(t.shape, np.shape(x[0])), dtype=float)
-        for c, w, xa in zip(self.x_center, self.x_width, x):
-            r2 = r2 + ((np.asarray(xa) - c) / w) ** 2
+        r2 = sum(((np.asarray(xa) - c) / w) ** 2
+                 for c, w, xa in zip(self.x_center, self.x_width, x))
         return mollifier((t - self.t_center) / self.t_width) * mollifier(np.sqrt(r2))
-
-
-def _heat_kernel_periodic(t: np.ndarray, diffs: list, extent) -> np.ndarray:
-    """Extent-periodized heat kernel (4 pi t)^(-d/2) exp(-|x|^2/(4t)), t > 0,
-    summed over the nearest image per axis (3^d shifts)."""
-    d = len(extent)
-    out = np.zeros(np.broadcast_shapes(t.shape, *(x.shape for x in diffs)), dtype=float)
-    t_safe = np.where(t > 0, t, 1.0)
-    for shifts in np.ndindex(*(3,) * d):
-        r2 = np.zeros_like(out)
-        for ax in range(d):
-            r2 = r2 + (diffs[ax] + (shifts[ax] - 1) * extent[ax]) ** 2
-        out += np.exp(-r2 / (4.0 * t_safe))
-    out *= (4.0 * np.pi * t_safe) ** (-d / 2.0)
-    return np.where(t > 0, out, 0.0)
 
 
 def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) -> dict:
@@ -162,7 +146,8 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
     also lives.  Tabulates ||phi_n - phi||_0 per level plus the observed
     order between consecutive levels; the error column must decrease
     strictly.  This is the one place the heat kernel is evaluated pointwise
-    in physical space.
+    in physical space.  The bump must lie inside [0, t_max] x [0, L]^d: the
+    sums do not wrap it around the torus as the sampled reference does.
     """
     levels = [int(n) for n in levels]
     if len(levels) < 3:
@@ -170,9 +155,16 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
     if any(b >= a for a, b in zip(levels[1:], levels)):
         raise ValueError("levels must be strictly increasing")
     d = len(extent)
+    mids, halves = (bump.t_center, *bump.x_center), (bump.t_width, *bump.x_width)
+    if not (len(mids) == len(halves) == d + 1 and all(
+            0.0 <= c - w and c + w <= hi for c, w, hi in zip(mids, halves, (t_max, *extent)))):
+        raise ValueError(f"{bump} must lie inside [0, {t_max}] x the box of extent "
+                         f"{tuple(extent)}")
     n_ref = levels[-1] * 2
     ref = SpaceTimeLattice(d, tuple(extent), (n_ref,) * d, t_max, n_ref)
     eta_ref = bump.sample(ref)
+    if not np.any(eta_ref.values):
+        raise ValueError(f"{bump} is zero at every point of the {n_ref}-step reference lattice")
     phi_ref = solve_backward(eta_ref)
     phi_ref_vals = phi_ref.values.real
 
@@ -186,8 +178,7 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
         cell_vol = dt_c * float(np.prod([L / n for L in extent]))
         t_right = (np.arange(n) + 1) * dt_c
         centers = [(np.arange(n) + 0.5) * (L / n) for L in extent]
-        mesh = np.meshgrid(*centers, indexing="ij") if d > 1 else [centers[0]]
-        flat_x = [mm.ravel() for mm in mesh]
+        flat_x = [mm.ravel() for mm in np.meshgrid(*centers, indexing="ij")]
         approx = np.zeros_like(phi_ref_vals)
         for m_t in range(n):
             tm = t_right[m_t]
@@ -198,16 +189,11 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
             # s slices strictly below tm contribute
             s_mask = s_grid < tm - 1e-12
             s_act = s_grid[s_mask]
-            # diffs[ax]: (n_live, *ref.n_space)
-            diffs = []
-            for ax in range(d):
-                xa = flat_x[ax][live].reshape((-1,) + (1,) * d)
-                shape = [1] * (d + 1)
-                shape[1 + ax] = -1
-                diffs.append(xa - y_axes[ax].reshape(shape))
+            # diffs[ax]: (n_live, ...), broadcasting against ref.n_space
+            diffs = [x[live].reshape((-1,) + (1,) * d) - y for x, y in zip(flat_x, y_axes)]
             contrib = np.zeros((s_act.size,) + ref.n_space)
             for i, s in enumerate(s_act):
-                G = _heat_kernel_periodic(np.asarray(tm - s), diffs, extent)
+                G = periodized_heat_kernel(np.asarray(tm - s), diffs, extent)
                 contrib[i] = np.tensordot(eta_vals[live], G, axes=(0, 0))
             approx[s_mask] += cell_vol * contrib
         diff = Field(ref, Representation.PHYSICAL, Layout.SPACE_TIME,

@@ -255,6 +255,9 @@ class PathEnsemble:
                 raise ValueError(f"unknown ensemble format {manifest['format']!r}")
             files = [(e["name"], e["sha256"]) for e in manifest["files"]]
             n_paths, seed, rng_id = (manifest[k] for k in ("n_paths", "seed", "rng_id"))
+            if bad := [k for k in ("n_paths", "seed") if type(manifest[k]) is not int]:
+                raise ValueError(f"manifest {bad[0]} must be an integer, "
+                                 f"got {manifest[bad[0]]!r}")
             lat = SpaceTimeLattice.from_dict(manifest["lattice"])
             m = manifest["measure"]
             measure = SpectralMeasure(m["family"], m["alpha"], m["dim"], m["formal"])
@@ -302,6 +305,8 @@ def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int) -> list:
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a sample variance, got {n_paths}")
+    if len(phis) == 0:
+        raise ValueError("phis is empty: need at least one test field")
     FF = _integration_transforms(model.lattice, phis)
     samples = np.concatenate([_pathwise_integrals(FF, eta) for _, eta, _
                               in _ou_chunks(model, seed, range(n_paths))])
@@ -343,6 +348,8 @@ def mc_covariance(model: NoiseModel, points, seed: int, n_paths: int) -> dict:
     space indices wrap as j mod n.  Returns the estimate and standard errors.
     """
     lat = model.lattice
+    if len(points) == 0:
+        raise ValueError("points is empty: need at least one grid point")
     times = np.array([int(m) for m, _ in points], dtype=int)
     if bad := [p for p, m in zip(points, times) if not 0 <= m <= lat.n_time]:
         raise ValueError(f"point {bad[0]} has a time index outside [0, {lat.n_time}]")

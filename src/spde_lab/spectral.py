@@ -34,6 +34,8 @@ from enum import Enum
 import numpy as np
 from scipy import integrate
 
+from .lattice import Field, Layout, Representation
+
 
 class Family(str, Enum):
     WHITE = "white"
@@ -157,8 +159,6 @@ def kernel_eval(m: SpectralMeasure, lattice):
     Emits a warning when the density is not absolutely integrable (kernel only
     exists as a distribution; lattice values are periodization-limited).
     """
-    from . import lattice as lat  # local import to keep lattice free of this module
-
     if m.dim != lattice.dim:
         raise ValueError(f"measure dim {m.dim} != lattice dim {lattice.dim}")
     if not density_integrable(m):
@@ -170,8 +170,21 @@ def kernel_eval(m: SpectralMeasure, lattice):
         )
     g = m.density(lattice.xi_squared)
     values = np.fft.ifftn(g) / lattice.cell_volume
-    return lat.Field(lattice, lat.Representation.PHYSICAL, lat.Layout.SPACE_ONLY,
-                     values.astype(np.complex128))
+    return Field(lattice, Representation.PHYSICAL, Layout.SPACE_ONLY,
+                 values.astype(np.complex128))
+
+
+def periodized_heat_kernel(t: np.ndarray, diffs, extent) -> np.ndarray:
+    """Extent-periodized heat kernel (4 pi t)^(-d/2) exp(-|x|^2/(4t)), t > 0,
+    summed over the nearest image per axis (3^d shifts)."""
+    d = len(extent)
+    out = np.zeros(np.broadcast_shapes(t.shape, *(x.shape for x in diffs)), dtype=float)
+    t_safe = np.where(t > 0, t, 1.0)
+    for shifts in np.ndindex(*(3,) * d):
+        r2 = sum((x + (k - 1) * L) ** 2 for x, k, L in zip(diffs, shifts, extent))
+        out += np.exp(-r2 / (4.0 * t_safe))
+    out *= (4.0 * np.pi * t_safe) ** (-d / 2.0)
+    return np.where(t > 0, out, 0.0)
 
 
 def heat_kernel_closed_form(m: SpectralMeasure, lattice) -> np.ndarray:
@@ -182,23 +195,11 @@ def heat_kernel_closed_form(m: SpectralMeasure, lattice) -> np.ndarray:
 
         f(x) = (2 pi)^(-d) (pi / (4 pi^2 alpha))^(d/2) exp(-|x|^2 / (16 pi^2 alpha)),
 
-    i.e. a Gaussian bump of variance proportional to alpha; returned here as
-    its extent-periodization (three images per axis, enough at the tolerances
-    used since the Gaussian tail is negligible for the lattices involved).
+    the heat kernel at t = 4 pi^2 alpha, returned here as its periodization
+    (three images per axis, enough at the tolerances used since the Gaussian
+    tail is negligible for the lattices involved).
     """
     if m.family is not Family.HEAT_KERNEL:
         raise ValueError("closed form only available for the heat_kernel family")
-    d = m.dim
-    a = 4.0 * math.pi**2 * m.alpha
-    pref = (2.0 * math.pi) ** (-d) * (math.pi / a) ** (d / 2.0)
-    out = np.zeros(lattice.n_space, dtype=float)
-    coords = lattice.space_axes()
-    for shifts in np.ndindex(*(3,) * d):
-        r2 = np.zeros(lattice.n_space, dtype=float)
-        for ax in range(d):
-            shifted = coords[ax] + (shifts[ax] - 1) * lattice.extent[ax]
-            shape = [1] * d
-            shape[ax] = -1
-            r2 = r2 + shifted.reshape(shape) ** 2
-        out += np.exp(-r2 / (4.0 * a))
-    return pref * out
+    return periodized_heat_kernel(np.asarray(4.0 * math.pi**2 * m.alpha),
+                                  lattice.space_axes(), lattice.extent)

@@ -337,6 +337,20 @@ def test_riemann_two_dimensional_exit_0(tmp_path, capsys):
     assert len(errs) == 3 and all(b < a for a, b in zip(errs, errs[1:]))
 
 
+@pytest.mark.parametrize("bump", [{"t_center": 5.0}, {"x_width": [20.0]},
+                                  {"t_center": 0.51, "t_width": 0.001}],
+                         ids=["after_t_max", "across_the_seam", "between_time_steps"])
+def test_riemann_bad_bump_exit_1(tmp_path, capsys, bump):
+    """A bump past t_max, or between the reference lattice's time steps, gives
+    zero forcing; one across the spatial seam is wrapped by the sampled
+    reference but not by the Riemann sums."""
+    cfg = _base_cfg(tmp_path / "out", riemann={**_RIEMANN, "bump": bump})
+    path = _write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["riemann", "--config", path, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: BumpSpec(") and err.count("\n") == 1
+
+
 # -- pinned output bytes -------------------------------------------------------------
 
 # sha256 over (relative path, bytes) of each output tree for criterion 12's

@@ -39,7 +39,7 @@ def test_lattice_derived_quantities():
     assert lat.times()[0] == 0.0 and lat.times()[-1] == 2.0
     assert lat.xi_squared.shape == (32,)
     # angular frequencies: xi_k = 2 pi k / L in FFT order
-    xi = lat.xi_component(0)
+    xi = lat.xi_axes()[0]
     assert xi[0] == 0.0
     assert xi[1] == pytest.approx(2.0 * np.pi / 8.0)
     assert lat.nyquist_radius == pytest.approx(2.0 * np.pi / 8.0 * 16)
@@ -51,6 +51,19 @@ def test_lattice_derived_quantities():
 def test_lattice_rejects_non_finite_sizes(extent, t_max):
     with pytest.raises(ValueError, match="must be finite"):
         SpaceTimeLattice(1, (extent,), (8,), t_max, 4)
+
+
+@pytest.mark.parametrize("n_space, n_time", [((8.7,), 4), ((8.0,), 4), ((8,), 2.5)],
+                         ids=["n_space_fraction", "n_space_float", "n_time_fraction"])
+def test_lattice_rejects_non_integer_sizes(n_space, n_time):
+    with pytest.raises(ValueError, match="must be integers"):
+        SpaceTimeLattice(1, (8.0,), n_space, 1.0, n_time)
+
+
+def test_lattice_from_dict_rejects_non_integer_n_time():
+    d = SpaceTimeLattice(1, (8.0,), (8,), 1.0, 4).to_dict()
+    with pytest.raises(ValueError, match="must be integers"):
+        SpaceTimeLattice.from_dict({**d, "n_time": 4.9})
 
 
 def test_lattice_serialization_round_trip():
@@ -87,7 +100,7 @@ def test_single_mode_transform_amplitude():
               vals.astype(np.complex128))
     F = forward_transform(f).values[0]
     # direct quadrature: (2 pi)^(-1/2) sum_x cos(3x) e^{-i xi x} dx
-    xi = lat.xi_component(0)
+    xi = lat.xi_axes()[0]
     direct = (2.0 * np.pi) ** (-0.5) * lat.cell_volume * np.array(
         [np.sum(np.cos(3.0 * x) * np.exp(-1j * w * x)) for w in xi])
     np.testing.assert_allclose(F, direct, atol=1e-12)

@@ -348,6 +348,14 @@ def test_ensemble_load_rejects_bad_manifest(tmp_path, edit, message):
         PathEnsemble.load(d)
 
 
+@pytest.mark.parametrize("key", ["n_paths", "seed"])
+def test_ensemble_load_rejects_non_integer_counts(tmp_path, key):
+    _, d = _saved(tmp_path)
+    _edit_manifest(d, lambda m: m.update({key: float(m[key])}))
+    with pytest.raises(ValueError, match=f"manifest {key} must be an integer"):
+        PathEnsemble.load(d)
+
+
 @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "parent"])
 def test_ensemble_load_rejects_names_outside_its_directory(tmp_path, absolute):
     """A listed name that leaves the directory is refused, even when the file
@@ -370,3 +378,13 @@ def test_ensemble_load_rejects_container_of_another_shape(tmp_path):
         sha256=hashlib.sha256(blob).hexdigest()))
     with pytest.raises(ValueError, match="not a physical space-time field"):
         PathEnsemble.load(d)
+
+
+def test_mc_covariance_rejects_empty_points():
+    with pytest.raises(ValueError, match="points is empty"):
+        mc_covariance(_model(n=16, nt=4), [], seed=0, n_paths=4)
+
+
+def test_mc_isometry_batch_rejects_empty_phis():
+    with pytest.raises(ValueError, match="phis is empty"):
+        mc_isometry_batch(_model(n=16, nt=4), [], seed=0, n_paths=4)
