@@ -111,10 +111,16 @@ class SpaceTimeLattice:
                            indexing="ij", sparse=True)
 
     def grid_point(self, time_index, space_index) -> tuple:
-        """(t_m, x_j) for indices (m, j); x_j = (j mod n) L / n on each axis."""
+        """(t_m, x_j) for indices (m, j); x_j = (j mod n) L / n on each axis.
+
+        Every index must be an integer (numpy integers included): a fractional
+        index is refused, not truncated to a neighbouring grid point."""
         if len(space_index) != self.dim:
             raise ValueError(f"space index {tuple(space_index)} has {len(space_index)} "
                              f"entries for a {self.dim}-D lattice")
+        if not all(isinstance(i, Integral) for i in (time_index, *space_index)):
+            raise ValueError(f"grid point ({time_index!r}, {tuple(space_index)!r}) "
+                             "has a non-integer index")
         return (time_index * self.dt,
                 tuple((int(j) % n) * L / n for j, n, L
                       in zip(space_index, self.n_space, self.extent)))

@@ -186,7 +186,7 @@ def heat_column(lattice: SpaceTimeLattice, point,
     if kind not in ("reproducing", "covariance"):
         raise ValueError(f"unknown heat-column kind: {kind!r}")
     m, idx = point
-    m = int(m)
+    lattice.grid_point(m, idx)  # refuses fractional and wrong-length indices
     if not 0 <= m <= lattice.n_time:
         raise ValueError("time index out of range")
     if kind == "reproducing":

@@ -1,4 +1,4 @@
-"""Lattice geometry in d >= 2: pinned output bytes and point-length checks."""
+"""Lattice geometry in d >= 2: pinned output bytes and grid-point index checks."""
 
 import hashlib
 
@@ -121,6 +121,34 @@ def test_point_entry_points_refuse_wrong_coordinate_count(entry, coords):
     truncated or padded against the axes."""
     with pytest.raises(ValueError, match="for a 2-D lattice"):
         entry(coords)
+
+
+@pytest.mark.parametrize("point", [(2.5, (1, 2)), (2, (1, 1.5)), (2.0, (1, 2))],
+                         ids=["time", "space", "integral_float"])
+@pytest.mark.parametrize("entry", [
+    lambda p: _LAT2.grid_point(*p),
+    lambda p: heat_column(_LAT2, p),
+    lambda p: mc_covariance(NoiseModel(_MEASURE2, _LAT2), [(1, (0, 0)), p], 0, 4),
+], ids=["grid_point", "heat_column", "mc_covariance"])
+def test_point_entry_points_refuse_non_integer_indices(entry, point):
+    """A fractional grid index is refused, not truncated to a neighbouring
+    grid point."""
+    with pytest.raises(ValueError, match=r"has a non-integer index"):
+        entry(point)
+
+
+def test_point_phase_refuses_non_integer_space_index():
+    with pytest.raises(ValueError, match=r"has a non-integer index"):
+        _LAT2.point_phase((1, 1.5))
+
+
+def test_point_entry_points_accept_numpy_integers():
+    p, q = (2, (1, 3)), (np.int64(2), (np.int32(1), np.uint8(3)))
+    assert _LAT2.grid_point(*q) == _LAT2.grid_point(*p)
+    assert heat_column(_LAT2, q).values.tobytes() == heat_column(_LAT2, p).values.tobytes()
+    model = NoiseModel(_MEASURE2, _LAT2)
+    a, b = (mc_covariance(model, [(1, (0, 0)), r], 0, 4)["estimate"] for r in (p, q))
+    assert a.tobytes() == b.tobytes()
 
 
 def test_phase_is_the_plane_wave_exponent():

@@ -152,15 +152,21 @@ def test_sampler_matches_per_step_reference(lat):
     assert simulate_u(meas, lat, 42, 5).values.tobytes() == np.stack(phys).tobytes()
 
 
+def _path_bytes(lat):
+    """Bytes one path adds to a chunk (the unit fields of all its steps)."""
+    return lat.n_time * 2 * math.prod(lat.n_space) * 16
+
+
 def test_chunk_size_does_not_change_results(monkeypatch):
-    """One path per chunk, the default chunk and one chunk give equal bytes."""
+    """One path per chunk, a ragged split into chunks of 3 paths, the default
+    chunk and one chunk give equal bytes."""
     model = _model(n=16, nt=8)
     lat = model.lattice
     rng = np.random.default_rng(6)
     phis = [random_band_limited(lat, rng) for _ in range(2)]
     pts = [(8, (0,)), (3, (5,)), (8, (11,)), (0, (2,))]
     results = []
-    for chunk_bytes in (1, simulate.CHUNK_BYTES, 1 << 24):
+    for chunk_bytes in (1, 3 * _path_bytes(lat), simulate.CHUNK_BYTES, 1 << 24):
         monkeypatch.setattr(simulate, "CHUNK_BYTES", chunk_bytes)
         iso = mc_isometry_batch(model, phis, seed=4, n_paths=37)
         cov = mc_covariance(model, pts, seed=4, n_paths=37)
@@ -169,7 +175,66 @@ def test_chunk_size_does_not_change_results(monkeypatch):
             simulate_u(model.measure, lat, 4, 37).values,
             np.array([[r["mc_var"], r["z_score"]] for r in iso]),
             cov["estimate"], cov["stderr"], rf["estimate"], rf["stderr"]))
-    assert results[0] == results[1] == results[2]
+    assert len(set(results)) == 1
+
+
+def test_unit_pair_writes_into_out():
+    model = _model(n=16, nt=4)
+    buf = np.full((2, 16), np.nan)
+    assert model.unit_pair(5, 2, 3, out=buf) is buf
+    assert buf.tobytes() == model.unit_pair(5, 2, 3).tobytes()
+
+
+@pytest.mark.parametrize("paths_per_chunk", [3, None], ids=["ragged", "default"])
+def test_samplers_draw_one_unit_pair_per_path_and_step(monkeypatch, paths_per_chunk):
+    """Each sampler calls ``unit_pair`` exactly once per (path, step) it needs:
+    n_paths x n_time calls, each key once, however the paths are chunked."""
+    model = _model(n=16, nt=8)
+    lat = model.lattice
+    if paths_per_chunk:
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", paths_per_chunk * _path_bytes(lat))
+    phi = random_band_limited(lat, np.random.default_rng(2))
+    keys = []
+    draw = NoiseModel.unit_pair
+
+    def counted(self, seed, path, step, out=None):
+        keys.append((seed, path, step))
+        return draw(self, seed, path, step, out=out)
+
+    monkeypatch.setattr(NoiseModel, "unit_pair", counted)
+    runs = {
+        "simulate_u": lambda n: simulate_u(model.measure, lat, 3, n),
+        "mc_covariance": lambda n: mc_covariance(model, [(8, (0,)), (3, (5,))], 3, n),
+        "mc_isometry_batch": lambda n: mc_isometry_batch(model, [phi, phi], 3, n),
+        "mc_representer_field": lambda n: mc_representer_field(model, phi, 3, n),
+    }
+    for name, run in runs.items():
+        for n_paths in (2, 10):
+            keys.clear()
+            run(n_paths)
+            assert sorted(keys) == [(3, p, k) for p in range(n_paths)
+                                    for k in range(lat.n_time)], name
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda m: simulate_u(m.measure, m.lattice, -1, 1), "seed"),
+    (lambda m: simulate_u(m.measure, m.lattice, 2**64, 1), "seed"),
+    (lambda m: simulate_u(m.measure, m.lattice, 1.5, 1), "seed"),
+    (lambda m: simulate_u(m.measure, m.lattice, 0, -1), r"n_paths must be >= 0"),
+    (lambda m: spectral_amplitudes(m, 0, -1), "path"),
+    (lambda m: spectral_amplitudes(m, 0, 2**64), "path"),
+    (lambda m: mc_covariance(m, [(4, (3,))], -1, 4), "seed"),
+    (lambda m: sample_noise_increment(m, -1, 0, 0), "seed"),
+    (lambda m: sample_noise_increment(m, 0, -1, 0), "path"),
+    (lambda m: sample_noise_increment(m, 0, 0, 4), "step"),
+], ids=["seed_negative", "seed_too_large", "seed_float", "n_paths_negative",
+        "path_negative", "path_too_large", "covariance_seed", "increment_seed",
+        "increment_path", "increment_step"])
+def test_bad_draw_keys_rejected(run, message):
+    """A seed, path or step outside the Philox key range is refused by name
+    before anything is drawn, not left to overflow inside the generator."""
+    with pytest.raises(ValueError, match=rf"^{message}"):
+        run(_model(n=16, nt=4))
 
 
 def test_mc_results_match_pinned_digests():
