@@ -72,7 +72,7 @@ def main():
     print("\n=== cutoff decomposition of a two-bump element ===")
     lat = SpaceTimeLattice(1, (16.0,), (256,), 0.5, 32)
     h, g = bump_pair(lat)
-    combined = Field(lat, h.representation, h.layout, h.values + g.values)
+    combined = Field(lat, h.representation, h.values + g.values)
     chi = radial_cutoff(lat, center=(0.3 * 16.0,), inner_radius=2.0,
                         outer_radius=4.0)
     for alpha in (2.0, 1.0):

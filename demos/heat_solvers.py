@@ -15,7 +15,6 @@ import numpy as np
 
 from spde_lab import (
     Field,
-    Layout,
     Representation,
     SpaceTimeLattice,
     SpectralMeasure,
@@ -36,8 +35,7 @@ def main():
     lat = SpaceTimeLattice(1, (2 * np.pi,), (32,), 1.0, 16)
     x = lat.space_axes()[0]
     forcing = np.repeat(np.sin(x)[None, :], lat.n_time + 1, axis=0)
-    phi1 = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-                 forcing.astype(np.complex128))
+    phi1 = Field(lat, Representation.PHYSICAL, forcing.astype(np.complex128))
     h = solve_forward(phi1).real_values()
     t = lat.times()
     exact = (1.0 - np.exp(-t))[:, None] * np.sin(x)[None, :]
@@ -45,8 +43,7 @@ def main():
     print(f"  max |h - (1 - e^-t) sin x| = {np.max(np.abs(h - exact)):.2e}")
 
     eta_vals = np.repeat(np.cos(x)[None, :], lat.n_time + 1, axis=0)
-    eta = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-                eta_vals.astype(np.complex128))
+    eta = Field(lat, Representation.PHYSICAL, eta_vals.astype(np.complex128))
     psi = solve_backward(eta).real_values()
     print(f"  backward solve: psi(T, .) = 0 check: "
           f"max |psi[-1]| = {np.max(np.abs(psi[-1])):.2e}")

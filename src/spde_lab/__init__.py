@@ -11,11 +11,11 @@ from .errors import DalangConditionError, InvariantViolation
 from .spectral import (Family, SpectralMeasure, dalang_condition,
                        density_integrable, heat_kernel_closed_form, kernel_eval,
                        truncation_tail)
-from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
+from .lattice import (Field, Representation, SpaceTimeLattice,
                       apply_multiplier, forward_transform, inner0,
                       inverse_transform, l2_inner, l2_norm, norm0,
                       random_band_limited, read_field, refine_field,
-                      write_field, zero_field)
+                      write_field)
 from .bumps import (radial_cutoff, space_time_bump, spatial_bump,
                     support_mask, time_profile)
 from .fracops import (bessel_potential, laplacian_power, localization_check,
@@ -41,9 +41,9 @@ __all__ = [
     "Family", "SpectralMeasure", "dalang_condition",
     "density_integrable", "kernel_eval",
     "heat_kernel_closed_form", "truncation_tail",
-    "Field", "Layout", "Representation", "SpaceTimeLattice",
+    "Field", "Representation", "SpaceTimeLattice",
     "forward_transform", "inverse_transform", "inner0", "norm0",
-    "l2_inner", "l2_norm", "apply_multiplier", "zero_field",
+    "l2_inner", "l2_norm", "apply_multiplier",
     "random_band_limited", "refine_field", "read_field", "write_field",
     "spatial_bump", "space_time_bump", "time_profile", "radial_cutoff",
     "support_mask",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Field, Layout, Representation, SpaceTimeLattice
+from .lattice import Field, Representation, SpaceTimeLattice
 
 
 def mollifier(r) -> np.ndarray:
@@ -51,8 +51,7 @@ def _radial2(lattice: SpaceTimeLattice, center, width) -> np.ndarray:
 def spatial_bump(lattice: SpaceTimeLattice, center, width, amplitude: float = 1.0) -> Field:
     """Space-only mollifier bump supported in the ellipsoid of semi-axes ``width``."""
     vals = amplitude * mollifier(np.sqrt(_radial2(lattice, center, width)))
-    return Field(lattice, Representation.PHYSICAL, Layout.SPACE_ONLY,
-                 vals.astype(np.complex128))
+    return Field(lattice, Representation.PHYSICAL, vals.astype(np.complex128))
 
 
 def time_profile(lattice: SpaceTimeLattice, t_center: float, t_width: float) -> np.ndarray:
@@ -67,8 +66,7 @@ def space_time_bump(lattice: SpaceTimeLattice, t_center: float, t_width: float,
     prof = time_profile(lattice, t_center, t_width)
     space = amplitude * mollifier(np.sqrt(_radial2(lattice, center, width)))
     vals = prof.reshape((-1,) + (1,) * lattice.dim) * space
-    return Field(lattice, Representation.PHYSICAL, Layout.SPACE_TIME,
-                 vals.astype(np.complex128))
+    return Field(lattice, Representation.PHYSICAL, vals.astype(np.complex128))
 
 
 def radial_cutoff(lattice: SpaceTimeLattice, center, inner_radius: float,
@@ -79,8 +77,7 @@ def radial_cutoff(lattice: SpaceTimeLattice, center, inner_radius: float,
         raise ValueError("need 0 < inner_radius < outer_radius")
     r = np.sqrt(_radial2(lattice, center, 1.0))
     vals = 1.0 - smooth_step((r - inner_radius) / (outer_radius - inner_radius))
-    return Field(lattice, Representation.PHYSICAL, Layout.SPACE_ONLY,
-                 vals.astype(np.complex128))
+    return Field(lattice, Representation.PHYSICAL, vals.astype(np.complex128))
 
 
 def support_mask(f: Field) -> np.ndarray:

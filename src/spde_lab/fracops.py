@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Field, Layout, apply_multiplier, as_physical, l2_norm
+from .lattice import Field, apply_multiplier, as_physical, l2_norm
 from .spectral import Family, SpectralMeasure
 from .bumps import support_mask
 
@@ -98,7 +98,7 @@ def localization_check(kappa: Field, chi: Field, k: int) -> dict:
     """
     if kappa.lattice != chi.lattice:
         raise ValueError("kappa and chi live on different lattices")
-    if kappa.layout is not Layout.SPACE_ONLY or chi.layout is not Layout.SPACE_ONLY:
+    if kappa.space_time or chi.space_time:
         raise ValueError("localization_check expects space-only fields")
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
@@ -109,13 +109,10 @@ def localization_check(kappa: Field, chi: Field, k: int) -> dict:
         raise ValueError("cutoff transition region overlaps the support of kappa")
     op = riesz_derivative(2 * k)
     d_kappa = apply_multiplier(kappa, op)
-    prod = Field(kappa.lattice, kappa.representation, kappa.layout,
-                 chi.values * kappa.values)
+    prod = Field(kappa.lattice, kappa.representation, chi.values * kappa.values)
     lhs = apply_multiplier(prod, op)
-    rhs = Field(kappa.lattice, kappa.representation, kappa.layout,
-                chi.values * d_kappa.values)
-    diff = Field(kappa.lattice, kappa.representation, kappa.layout,
-                 lhs.values - rhs.values)
+    rhs = Field(kappa.lattice, kappa.representation, chi.values * d_kappa.values)
+    diff = Field(kappa.lattice, kappa.representation, lhs.values - rhs.values)
     denom = l2_norm(d_kappa)
     gap = l2_norm(diff) / denom if denom > 0 else 0.0
     return {"gap": float(gap), "k": int(k), "denom": float(denom)}
@@ -133,7 +130,7 @@ def q_exponent(dim: int, k: int) -> float:
 
 def mixed_time_space_norm(f: Field, q: float) -> float:
     """( sum_t dt * ( sum_x |f|^q dx^d )^(2/q) )^(1/2), left endpoint in time."""
-    if f.layout is not Layout.SPACE_TIME:
+    if not f.space_time:
         raise ValueError("mixed norm is defined for space-time fields")
     if q <= 0:
         raise ValueError("q must be positive")

@@ -44,11 +44,6 @@ class Representation(str, Enum):
     FREQUENCY = "frequency"
 
 
-class Layout(str, Enum):
-    SPACE_ONLY = "space_only"
-    SPACE_TIME = "space_time"
-
-
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -188,8 +183,7 @@ class SpaceTimeLattice:
         """The per-mode march out(t_{k+1}) = a out(t_k) + increments(t_k) from
         out(t_0) = 0, for a stack (c, >= n_time, *n_space) of increments;
         returns (c, n_time + 1, *n_space)."""
-        out = np.zeros((len(increments), self.n_time + 1) + self.n_space,
-                       dtype=increments.dtype)
+        out = np.zeros((len(increments),) + self.shape, dtype=increments.dtype)
         for k in range(self.n_time):
             np.multiply(self.decay, out[:, k], out=out[:, k + 1])
             out[:, k + 1] += increments[:, k]
@@ -221,9 +215,9 @@ class SpaceTimeLattice:
     def times(self) -> np.ndarray:
         return np.arange(self.n_time + 1) * self.dt
 
-    def shape_for(self, layout: Layout) -> tuple:
-        if layout is Layout.SPACE_ONLY:
-            return self.n_space
+    @property
+    def shape(self) -> tuple:
+        """(n_time + 1,) + n_space, the shape of a space-time field."""
         return (self.n_time + 1,) + self.n_space
 
     def to_dict(self) -> dict:
@@ -250,24 +244,29 @@ class SpaceTimeLattice:
 class Field:
     """Values on a lattice, in physical or frequency representation.
 
-    Space-time fields hold n_time + 1 slices (t = 0 .. t_max inclusive).
-    Values are always complex128; physical-space fields of real data carry a
-    round-off-level imaginary part at most.
+    The shape of the values is the layout: ``lattice.n_space`` for a
+    space-only field, ``lattice.shape`` for a space-time field, which holds
+    n_time + 1 slices (t = 0 .. t_max inclusive).  Values are always
+    complex128; physical-space fields of real data carry a round-off-level
+    imaginary part at most.
     """
 
     lattice: SpaceTimeLattice
     representation: Representation
-    layout: Layout
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        expected = self.lattice.shape_for(self.layout)
-        if self.values.shape != expected:
+        if self.values.shape not in (self.lattice.n_space, self.lattice.shape):
             raise ValueError(
-                f"field values shape {self.values.shape} does not match lattice "
-                f"shape {expected} for layout {self.layout.value}"
-            )
+                f"field values shape {self.values.shape} is neither the lattice's "
+                f"space shape {self.lattice.n_space} nor its space-time shape "
+                f"{self.lattice.shape}")
+
+    @property
+    def space_time(self) -> bool:
+        """Whether the field has a time axis (shape ``lattice.shape``)."""
+        return self.values.ndim > self.lattice.dim
 
     def real_values(self) -> np.ndarray:
         """Real part, asserting the imaginary part is round-off (1e-9 of the
@@ -277,11 +276,6 @@ class Field:
         if worst > 1e-9 * scale:
             raise ValueError(f"field is not real: max |imag| = {worst:.3e} (scale {scale:.3e})")
         return self.values.real.copy()
-
-
-def zero_field(lattice: SpaceTimeLattice, layout: Layout) -> Field:
-    return Field(lattice, Representation.PHYSICAL, layout,
-                 np.zeros(lattice.shape_for(layout), dtype=np.complex128))
 
 
 # -- transforms ---------------------------------------------------------------
@@ -303,15 +297,14 @@ def forward_transform(f: Field) -> Field:
     """Physical -> frequency, (2 pi)^(-d/2) dx^d fftn per time slice."""
     if f.representation is not Representation.PHYSICAL:
         raise ValueError("forward_transform expects a physical-representation field")
-    return Field(f.lattice, Representation.FREQUENCY, f.layout,
-                 spectral_transform(f.values, f.lattice))
+    return Field(f.lattice, Representation.FREQUENCY, spectral_transform(f.values, f.lattice))
 
 
 def inverse_transform(f: Field) -> Field:
     """Frequency -> physical, exact inverse of forward_transform."""
     if f.representation is not Representation.FREQUENCY:
         raise ValueError("inverse_transform expects a frequency-representation field")
-    return Field(f.lattice, Representation.PHYSICAL, f.layout,
+    return Field(f.lattice, Representation.PHYSICAL,
                  spectral_transform(f.values, f.lattice, inverse=True))
 
 
@@ -338,47 +331,47 @@ def apply_multiplier(f: Field, symbol) -> Field:
         raise ValueError("multiplier symbol evaluated to NaN on the frequency grid")
     g = as_frequency(f)
     values = g.values * sym  # broadcasting covers the leading time axis
-    out = Field(lat, Representation.FREQUENCY, f.layout, values)
+    out = Field(lat, Representation.FREQUENCY, values)
     return out if f.representation is Representation.FREQUENCY else inverse_transform(out)
 
 
 # -- inner products -----------------------------------------------------------
 
 
-def _check_pair(f: Field, g: Field, layout: Layout):
+def _check_pair(f: Field, g: Field, space_time: bool):
     if f.lattice != g.lattice:
         raise ValueError("fields live on different lattices")
-    if f.layout is not layout or g.layout is not layout:
-        raise ValueError(f"expected {layout.value} fields")
-
-
-def l2_inner_space(f: Field, g: Field) -> complex:
-    """sum f conj(g) dx^d over the spatial lattice (space-only fields)."""
-    _check_pair(f, g, Layout.SPACE_ONLY)
-    a, b = as_physical(f), as_physical(g)
-    return complex(np.sum(a.values * np.conj(b.values)) * f.lattice.cell_volume)
+    if not f.space_time == g.space_time == space_time:
+        raise ValueError(f"expected {'space-time' if space_time else 'space-only'} fields")
 
 
 def l2_inner(f: Field, g: Field) -> complex:
-    """Space-time L2 pairing, left-endpoint in time: sum_k dt sum_x f conj(g) dx^d."""
-    _check_pair(f, g, Layout.SPACE_TIME)
+    """L2 pairing: sum_x f conj(g) dx^d for space-only fields; for space-time
+    fields sum_k dt sum_x f conj(g) dx^d, left-endpoint in time."""
+    _check_pair(f, g, f.space_time)
     lat = f.lattice
-    a, b = as_physical(f), as_physical(g)
-    return complex(np.sum(a.values[:-1] * np.conj(b.values[:-1])) * lat.cell_volume * lat.dt)
+    a, b = as_physical(f).values, as_physical(g).values
+    if not f.space_time:
+        return complex(np.sum(a * np.conj(b)) * lat.cell_volume)
+    return complex(np.sum(a[:-1] * np.conj(b[:-1])) * lat.cell_volume * lat.dt)
 
 
 def l2_norm(f: Field) -> float:
-    if f.layout is Layout.SPACE_ONLY:
-        return float(np.sqrt(max(l2_inner_space(f, f).real, 0.0)))
     return float(np.sqrt(max(l2_inner(f, f).real, 0.0)))
+
+
+def _grid_density(measure, lattice: SpaceTimeLattice) -> np.ndarray:
+    """The measure's density g(|xi|^2) on the lattice's frequency grid; refuses
+    a measure whose dimension is not the lattice's."""
+    if measure.dim != lattice.dim:
+        raise ValueError(f"measure dim {measure.dim} != lattice dim {lattice.dim}")
+    return measure.density(lattice.xi_squared)
 
 
 def pair_stacks(F: np.ndarray, G: np.ndarray, measure,
                 lattice: SpaceTimeLattice) -> np.ndarray:
     """<f_i, g_i>_0 of inner0 for stacks (c, n_time+1, *n_space) of frequency values."""
-    if measure.dim != lattice.dim:
-        raise ValueError(f"measure dim {measure.dim} != lattice dim {lattice.dim}")
-    w = measure.density(lattice.xi_squared) * lattice.freq_cell_volume
+    w = _grid_density(measure, lattice) * lattice.freq_cell_volume
     axes = tuple(range(1, lattice.dim + 2))
     return np.sum(F[:, :-1] * np.conj(G[:, :-1]) * w, axis=axes) * lattice.dt
 
@@ -390,7 +383,7 @@ def inner0(f: Field, g: Field, measure) -> complex:
     time.  Sesquilinear (linear in f, conjugate-linear in g); <f, f>_0 is
     real and nonnegative.
     """
-    _check_pair(f, g, Layout.SPACE_TIME)
+    _check_pair(f, g, True)
     F = as_frequency(f).values[None]
     G = F if g is f else as_frequency(g).values[None]
     return complex(pair_stacks(F, G, measure, f.lattice)[0])
@@ -409,8 +402,8 @@ def random_band_limited(lattice: SpaceTimeLattice, rng: np.random.Generator) -> 
     |k| <= n/4 and a smooth time envelope vanishing at both endpoint slices
     (the discrete analogue of test functions compactly supported in (0, t_max)).
     """
-    values = band_limit(rng.standard_normal(lattice.shape_for(Layout.SPACE_TIME)), lattice)
-    return Field(lattice, Representation.PHYSICAL, Layout.SPACE_TIME, values)
+    values = band_limit(rng.standard_normal(lattice.shape), lattice)
+    return Field(lattice, Representation.PHYSICAL, values)
 
 
 def band_limit(white: np.ndarray, lattice: SpaceTimeLattice) -> np.ndarray:
@@ -433,7 +426,7 @@ def refine_field(f: Field) -> Field:
     """Resample a space-time field onto the lattice with twice the sites per
     axis and twice the steps: trigonometric interpolation in space, linear
     interpolation in time (assumes negligible Nyquist energy)."""
-    if f.layout is not Layout.SPACE_TIME:
+    if not f.space_time:
         raise ValueError("refine_field expects a space-time field")
     lat = f.lattice
     fine = SpaceTimeLattice(lat.dim, lat.extent, tuple(2 * n for n in lat.n_space),
@@ -450,14 +443,13 @@ def refine_field(f: Field) -> Field:
     frac = (t_fine - t_coarse[idx]) / lat.dt
     shape = (-1,) + (1,) * lat.dim
     vals = (1.0 - frac).reshape(shape) * spatial[idx] + frac.reshape(shape) * spatial[idx + 1]
-    return Field(fine, Representation.PHYSICAL, Layout.SPACE_TIME, vals)
+    return Field(fine, Representation.PHYSICAL, vals)
 
 
 # -- binary container ---------------------------------------------------------
 
 _MAGIC = b"SPDEFLD1"
 _REP_CODE = {Representation.PHYSICAL: 0, Representation.FREQUENCY: 1}
-_LAYOUT_CODE = {Layout.SPACE_ONLY: 0, Layout.SPACE_TIME: 1}
 
 
 def write_field(f: Field, path) -> bytes:
@@ -468,7 +460,7 @@ def write_field(f: Field, path) -> bytes:
     lat = f.lattice
     header = struct.pack(f"<8sq{lat.dim}qq{lat.dim}ddqq", _MAGIC, lat.dim,
                          *lat.n_space, lat.n_time, *lat.extent, lat.t_max,
-                         _REP_CODE[f.representation], _LAYOUT_CODE[f.layout])
+                         _REP_CODE[f.representation], int(f.space_time))
     flat = np.ascontiguousarray(f.values).ravel()
     inter = np.empty(2 * flat.size, dtype="<f8")
     inter[0::2] = flat.real
@@ -500,11 +492,10 @@ def decode_field(blob: bytes) -> Field:
     rep_code, layout_code = struct.unpack_from("<2q", blob, 32 + 16 * dim)
     lat = SpaceTimeLattice(dim, extent, n_space, t_max, n_time)
     rep = {v: k for k, v in _REP_CODE.items()}.get(rep_code)
-    layout = {v: k for k, v in _LAYOUT_CODE.items()}.get(layout_code)
-    if rep is None or layout is None:
+    if rep is None or layout_code not in (0, 1):
         raise ValueError(f"unknown representation/layout code "
                          f"{rep_code}/{layout_code} in field container")
-    shape = lat.shape_for(layout)
+    shape = (lat.n_space, lat.shape)[layout_code]
     expected = header + 16 * math.prod(shape)
     if len(blob) < expected:
         raise ValueError("truncated field container")
@@ -512,7 +503,7 @@ def decode_field(blob: bytes) -> Field:
         raise ValueError(f"field container has {len(blob) - expected} bytes "
                          "after its payload")
     raw = np.frombuffer(blob, dtype="<f8", offset=header)
-    return Field(lat, rep, layout, (raw[0::2] + 1j * raw[1::2]).reshape(shape))
+    return Field(lat, rep, (raw[0::2] + 1j * raw[1::2]).reshape(shape))
 
 
 def read_field(path) -> Field:

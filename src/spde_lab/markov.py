@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .bumps import support_mask
 from .errors import InvariantViolation
-from .lattice import Field, Layout, Representation, SpaceTimeLattice, as_physical
+from .lattice import Field, Representation, SpaceTimeLattice, _grid_density, as_physical
 from .rkhs import (RkhsElement, element_from_h, heat_column, krylov_norm, rkhs_inner,
                    rkhs_inner_raw)
 from .spectral import Family, SpectralMeasure
@@ -51,7 +51,7 @@ def covariance_oracle(measure: SpectralMeasure, lattice: SpaceTimeLattice,
     if not (0.0 <= t <= lattice.t_max and 0.0 <= s <= lattice.t_max):
         raise ValueError("times must lie in [0, t_max]")
     phase = lattice.phase(np.subtract(x, y))
-    g = measure.density(lattice.xi_squared)
+    g = _grid_density(measure, lattice)
     c = (2.0 * np.pi) ** (-lattice.dim)
     return float(c * lattice.freq_cell_volume
                  * np.sum(g * np.cos(phase) * lattice.time_factor(abs(t - s), min(t, s))))
@@ -90,13 +90,13 @@ def assemble_covariance(measure: SpectralMeasure, lattice: SpaceTimeLattice,
         raise ValueError("times must lie in [0, t_max]")
     x_arr = np.array([p[1] for p in points])  # (P, d)
 
-    lam = lattice.xi_squared.ravel()
-    order = np.argsort(lam)[::-1]  # sum low modes last: they carry most weight
+    # sum low modes last: they carry most weight
+    order = np.argsort(lattice.xi_squared.ravel())[::-1]
     # take keeps C order: a fancy column index returns a Fortran-ordered copy
     ph = lattice.phase(x_arr).reshape(P, -1).take(order, axis=1)  # (P, N)
     F = np.concatenate([np.cos(ph), np.sin(ph)], axis=1)  # (P, 2N)
     w = ((2.0 * np.pi) ** (-lattice.dim) * lattice.freq_cell_volume
-         * measure.density(lam[order]))
+         * _grid_density(measure, lattice).ravel()[order])
 
     times, time_of = np.unique(t_arr, return_inverse=True)
     col = (-1,) + (1,) * lattice.dim
@@ -203,8 +203,8 @@ def conditional_cov_screen(C: CovarianceMatrix, part: RegionPartition) -> dict:
     K_bi = cho_solve(chol, S[np.ix_(B, I)])
     K_bo = cho_solve(chol, S[np.ix_(B, O)])
     cond_io = S[np.ix_(I, O)] - S[np.ix_(I, B)] @ K_bo
-    var_i = np.diag(S[np.ix_(I, I)]) - np.sum(S[np.ix_(I, B)].T * K_bi, axis=0)
-    var_o = np.diag(S[np.ix_(O, O)]) - np.sum(S[np.ix_(O, B)].T * K_bo, axis=0)
+    var_i = S[I, I] - np.sum(S[np.ix_(I, B)].T * K_bi, axis=0)
+    var_o = S[O, O] - np.sum(S[np.ix_(O, B)].T * K_bo, axis=0)
     floor = 1e-12 * float(np.max(np.diag(S)))
     denom = np.sqrt(np.outer(np.maximum(var_i, floor), np.maximum(var_o, floor)))
     corr = np.abs(cond_io) / denom
@@ -218,21 +218,20 @@ def conditional_cov_screen(C: CovarianceMatrix, part: RegionPartition) -> dict:
 
 
 def band_width_study(C: CovarianceMatrix, rect_physical, widths,
-                     partition_lattice: SpaceTimeLattice | None = None) -> dict:
+                     partition_lattice: SpaceTimeLattice) -> dict:
     """Screening statistic across band widths on one assembled matrix.
 
     ``partition_lattice`` sets the cell units in which band widths are
-    measured.  It defaults to the matrix's own lattice, but should be the
-    coarser observation grid whenever the covariance was assembled on a
-    finer quadrature lattice.
+    measured: the observation grid of the points, which is coarser than
+    ``C.lattice`` whenever the covariance was assembled on a finer
+    quadrature lattice.
     """
     widths = list(widths)
     if not widths:
         raise ValueError("band width list is empty")
-    lattice = C.lattice if partition_lattice is None else partition_lattice
     rows = []
     for w in widths:
-        part = region_partition(lattice, C.points, rect_physical, w)
+        part = region_partition(partition_lattice, C.points, rect_physical, w)
         rows.append(conditional_cov_screen(C, part))
     stats = [r["max_abs_cond_corr"] for r in rows]
     return {"rows": rows,
@@ -249,9 +248,9 @@ def _spatial_separation_cells(a: Field, b: Field) -> float:
     mask_a = support_mask(as_physical(a))
     mask_b = support_mask(as_physical(b))
     # collapse time: a spatial site is occupied if any time slice uses it
-    if a.layout is Layout.SPACE_TIME:
+    if a.space_time:
         mask_a = mask_a.any(axis=0)
-    if b.layout is Layout.SPACE_TIME:
+    if b.space_time:
         mask_b = mask_b.any(axis=0)
     coords_a = np.argwhere(mask_a)
     coords_b = np.argwhere(mask_b)
@@ -304,7 +303,7 @@ def kunsch_decomposition(measure: SpectralMeasure, zeta: RkhsElement,
     | ||zeta||^2 - ||h||^2 - ||g||^2 | / ||zeta||^2, and the even-order
     parabolic norm of the cut part (finite by construction).
     """
-    if chi.layout is not Layout.SPACE_ONLY:
+    if chi.space_time:
         raise ValueError("cutoff must be a space-only field")
     if chi.lattice != zeta.h.lattice:
         raise ValueError("cutoff lives on a different lattice")
@@ -318,9 +317,8 @@ def kunsch_decomposition(measure: SpectralMeasure, zeta: RkhsElement,
         raise ValueError("cutoff transition region overlaps the field support")
     lat = zeta_h.lattice
     h_vals = zeta_h.values * chi_vals[None]
-    h_part = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME, h_vals)
-    g_part = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-                   zeta_h.values - h_vals)
+    h_part = Field(lat, Representation.PHYSICAL, h_vals)
+    g_part = Field(lat, Representation.PHYSICAL, zeta_h.values - h_vals)
     a = element_from_h(h_part, measure)
     b = element_from_h(g_part, measure)
     nz2 = rkhs_inner(zeta, zeta)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
+from .lattice import (Field, Representation, SpaceTimeLattice,
                       as_frequency, as_physical, forward_transform,
                       inverse_transform, norm0, refine_field)
 from .bumps import mollifier, space_time_bump
@@ -39,11 +39,11 @@ def solve_forward(phi1: Field) -> Field:
     Forcing sampled at left endpoints; the t_max slice of phi1 never enters.
     Returns a physical space-time field (real for real forcing).
     """
-    if phi1.layout is not Layout.SPACE_TIME:
+    if not phi1.space_time:
         raise ValueError("solve_forward expects a space-time forcing field")
     lat = phi1.lattice
     out = lat.march(lat.duhamel_weight * as_frequency(phi1).values[None])[0]
-    return inverse_transform(Field(lat, Representation.FREQUENCY, Layout.SPACE_TIME, out))
+    return inverse_transform(Field(lat, Representation.FREQUENCY, out))
 
 
 def solve_backward(eta: Field) -> Field:
@@ -51,12 +51,12 @@ def solve_backward(eta: Field) -> Field:
 
     Forcing sampled at right endpoints (the t = 0 slice of eta never enters).
     """
-    if eta.layout is not Layout.SPACE_TIME:
+    if not eta.space_time:
         raise ValueError("solve_backward expects a space-time forcing field")
     lat = eta.lattice
     # the forward march in reversed time: phi(t_k) = a phi(t_{k+1}) + w eta(t_{k+1})
     out = lat.march(lat.duhamel_weight * as_frequency(eta).values[None, ::-1])[0, ::-1]
-    return inverse_transform(Field(lat, Representation.FREQUENCY, Layout.SPACE_TIME, out))
+    return inverse_transform(Field(lat, Representation.FREQUENCY, out))
 
 
 def _check_support_margin(eta: Field, margin: int) -> None:
@@ -196,8 +196,7 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
                 G = periodized_heat_kernel(np.asarray(tm - s), diffs, extent)
                 contrib[i] = np.tensordot(eta_vals[live], G, axes=(0, 0))
             approx[s_mask] += cell_vol * contrib
-        diff = Field(ref, Representation.PHYSICAL, Layout.SPACE_TIME,
-                     (approx - phi_ref_vals).astype(np.complex128))
+        diff = Field(ref, Representation.PHYSICAL, (approx - phi_ref_vals).astype(np.complex128))
         err = norm0(diff, measure)
         order = float(np.log2(prev_err / err)) if prev_err is not None else float("nan")
         rows.append({"level": n, "n_space": n, "n_time": n,

@@ -15,7 +15,7 @@ phi1 = phi.
 Families and orders with a germ-Markov guarantee (local Dirichlet form):
 Bessel with alpha a positive even integer, Riesz with alpha a positive
 multiple of four, and white noise.  Any other measure still yields a valid
-element but is flagged ``markov_guarantee=False``.
+element, whose ``markov_guarantee`` property reads False.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvariantViolation
-from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
+from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
                       apply_multiplier, as_frequency, band_limit,
                       forward_transform, inner0, inverse_transform, l2_inner,
                       l2_norm, norm0, pair_stacks, spectral_transform)
@@ -55,19 +55,15 @@ class RkhsElement:
     phi1: Field
     phi: Field
     measure: SpectralMeasure
-    markov_guarantee: bool
     probe_report: Optional[dict] = None
+
+    @property
+    def markov_guarantee(self) -> bool:
+        """The germ-Markov guarantee of the element's measure."""
+        return markov_guarantee(self.measure)
 
     def norm(self) -> float:
         return norm0(self.phi, self.measure)
-
-
-def _phi_from_phi1(phi1: Field, measure: SpectralMeasure) -> Field:
-    """Inverse density multiplier; Riesz zero mode (where g = 0) is dropped."""
-    def inv(r):
-        g = measure.density(r)
-        return np.where(g > 0.0, 1.0 / np.where(g > 0.0, g, 1.0), 0.0)
-    return apply_multiplier(phi1, inv)
 
 
 def _default_probes(lattice: SpaceTimeLattice):
@@ -90,18 +86,19 @@ def representer(phi: Field, measure: SpectralMeasure, check: bool = True) -> Rkh
     code path from the marching solver); relative disagreement beyond 1e-8
     raises InvariantViolation.
     """
-    if phi.layout is not Layout.SPACE_TIME:
+    if not phi.space_time:
         raise ValueError("representer expects a space-time test field")
     phys = phi.values if phi.representation is Representation.PHYSICAL else None
     if phys is not None and float(np.abs(phys.imag).max()) > 1e-12 * max(
             1.0, float(np.abs(phys).max())):
         raise ValueError("test field must be real")
-    phi1 = apply_multiplier(phi, measure.density)
+    g = _grid_density(measure, phi.lattice)
+    phi1 = apply_multiplier(phi, lambda _: g)
     h = solve_forward(phi1)
     report = None
     if check:
         report = _probe_check(phi, h, measure)
-    return RkhsElement(h, phi1, phi, measure, markov_guarantee(measure), report)
+    return RkhsElement(h, phi1, phi, measure, report)
 
 
 def _probe_check(phi: Field, h: Field, measure: SpectralMeasure) -> dict:
@@ -132,18 +129,18 @@ def element_from_h(h: Field, measure: SpectralMeasure) -> RkhsElement:
     The forcing is read off by exact inversion of the per-mode Duhamel
     recursion, F phi1(t_k) = (F h(t_{k+1}) - a F h(t_k)) / w — the discrete
     form of phi1 = dh/dt - Lap h — so solve_forward(phi1) reproduces h to
-    round-off.  phi follows by the inverse density multiplier (Riesz zero
-    mode dropped).
+    round-off.  phi follows by the inverse density multiplier (the Riesz zero
+    mode, where g = 0, is dropped).
 
     The two divisions amplify the round-off of h, at most t_max max g
     relative to phi, by up to 1 / min(w g) over the modes with g > 0.  When
     that conditioning exceeds 2^52 phi would be round-off alone, so it
     raises ValueError instead (heat-kernel densities do this).
     """
-    if h.layout is not Layout.SPACE_TIME:
+    if not h.space_time:
         raise ValueError("element_from_h expects a space-time field")
     lat = h.lattice
-    g = measure.density(lat.xi_squared)
+    g = _grid_density(measure, lat)
     cond = lat.t_max * float(g.max()) / float(
         np.min(lat.duhamel_weight * g, initial=np.inf, where=g > 0.0))
     if cond > 2.0 ** 52:
@@ -157,10 +154,10 @@ def element_from_h(h: Field, measure: SpectralMeasure) -> RkhsElement:
         raise ValueError("h must vanish at t = 0")
     F1 = np.zeros_like(H)
     F1[:-1] = (H[1:] - lat.decay * H[:-1]) / lat.duhamel_weight
-    phi1 = inverse_transform(Field(lat, Representation.FREQUENCY,
-                                   Layout.SPACE_TIME, F1))
-    phi = _phi_from_phi1(phi1, measure)
-    return RkhsElement(h, phi1, phi, measure, markov_guarantee(measure), None)
+    phi1 = inverse_transform(Field(lat, Representation.FREQUENCY, F1))
+    inv_g = np.where(g > 0.0, 1.0 / np.where(g > 0.0, g, 1.0), 0.0)
+    phi = apply_multiplier(phi1, lambda _: inv_g)
+    return RkhsElement(h, phi1, phi, measure)
 
 
 def heat_column(lattice: SpaceTimeLattice, point,
@@ -195,14 +192,13 @@ def heat_column(lattice: SpaceTimeLattice, point,
         weight = np.sqrt(lattice.variance_weight / lattice.dt)
     phase = np.conj(lattice.point_phase(idx))
     c_d = (2.0 * np.pi) ** (-lattice.dim / 2.0)
-    F = np.zeros((lattice.n_time + 1,) + lattice.n_space, dtype=np.complex128)
+    F = np.zeros(lattice.shape, dtype=np.complex128)
     if m > 0:
         # decay powers a^(m-1-k) for k = 0..m-1, computed by backward recursion
         F[m - 1] = c_d * phase * weight
         for k in range(m - 2, -1, -1):
             F[k] = lattice.decay * F[k + 1]
-    return inverse_transform(Field(lattice, Representation.FREQUENCY,
-                                   Layout.SPACE_TIME, F))
+    return inverse_transform(Field(lattice, Representation.FREQUENCY, F))
 
 
 def rkhs_inner_raw(phi_a: Field, phi_b: Field, measure: SpectralMeasure) -> float:
@@ -295,9 +291,9 @@ def norm_equivalence_study(samples: int, measure: SpectralMeasure,
     if measure.family is not Family.BESSEL or not markov_guarantee(measure):
         raise ValueError("norm equivalence study needs a Bessel measure of even order")
     rng = np.random.default_rng(seed)
-    shape = lattice.shape_for(Layout.SPACE_TIME)
+    shape = lattice.shape
     chunk = math.ceil(CHUNK_BYTES / (16 * math.prod(shape)))
-    g = measure.density(lattice.xi_squared)
+    g = _grid_density(measure, lattice)
     ratios = np.zeros(samples)
     for start in range(0, samples, chunk):
         c = min(chunk, samples - start)

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DalangConditionError
-from .lattice import (Field, Layout, Representation, SpaceTimeLattice,
+from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
                       decode_field, forward_transform, inverse_transform, norm0,
                       write_field)
 from .spectral import SpectralMeasure, dalang_condition
@@ -83,8 +83,7 @@ class NoiseModel:
     lattice: SpaceTimeLattice
 
     def __post_init__(self):
-        if self.measure.dim != self.lattice.dim:
-            raise ValueError("measure and lattice dimension mismatch")
+        self.density  # refuses a measure of another dimension first
         if not dalang_condition(self.measure):
             m = self.measure
             raise DalangConditionError(
@@ -96,7 +95,7 @@ class NoiseModel:
 
     @cached_property
     def density(self) -> np.ndarray:
-        return self.measure.density(self.lattice.xi_squared)
+        return _grid_density(self.measure, self.lattice)
 
     @cached_property
     def increment_scale(self) -> np.ndarray:
@@ -149,8 +148,7 @@ def sample_noise_increment(model: NoiseModel, seed: int, path: int, step: int) -
     _check_key("path", path)
     _check_key("step", step, lat.n_time)
     eta = model.increment_scale * _unit_fields(lat, model.unit_pair(seed, path, step))[0]
-    return inverse_transform(Field(lat, Representation.FREQUENCY, Layout.SPACE_ONLY,
-                                   eta / lat.freq_cell_volume))
+    return inverse_transform(Field(lat, Representation.FREQUENCY, eta / lat.freq_cell_volume))
 
 
 def _ou_chunks(model: NoiseModel, seed: int, paths: range):
@@ -227,7 +225,7 @@ def _moments(products, n_paths: int) -> dict:
 def _integration_transforms(lat: SpaceTimeLattice, phis) -> np.ndarray:
     """Stacked transforms of test fields at t_0 .. t_{n_time-1}, (J, n_time, N)."""
     for phi in phis:
-        if phi.layout is not Layout.SPACE_TIME:
+        if not phi.space_time:
             raise ValueError("test field must be a space-time field")
         if phi.lattice != lat:
             raise ValueError("test field lives on a different lattice")
@@ -255,13 +253,15 @@ class PathEnsemble:
     lattice: SpaceTimeLattice
     measure: SpectralMeasure
     seed: int
-    n_paths: int
     values: np.ndarray  # (n_paths, n_time+1, *n_space) float64
     rng_id: str = RNG_ID
 
+    @property
+    def n_paths(self) -> int:
+        return len(self.values)
+
     def path(self, i: int) -> Field:
-        return Field(self.lattice, Representation.PHYSICAL, Layout.SPACE_TIME,
-                     self.values[i].astype(np.complex128))
+        return Field(self.lattice, Representation.PHYSICAL, self.values[i].astype(np.complex128))
 
     def manifest(self) -> dict:
         return {
@@ -272,7 +272,7 @@ class PathEnsemble:
                         "dim": self.measure.dim,
                         "formal": self.measure.formal},
             "seed": int(self.seed),
-            "n_paths": int(self.n_paths),
+            "n_paths": self.n_paths,
             "rng_id": self.rng_id,
         }
 
@@ -311,7 +311,7 @@ class PathEnsemble:
             raise ValueError(f"manifest is missing key {exc}") from None
         if len(files) != n_paths:
             raise ValueError(f"manifest lists {len(files)} files for {n_paths} paths")
-        values = np.zeros((n_paths, lat.n_time + 1) + lat.n_space)
+        values = np.zeros((n_paths,) + lat.shape)
         for i, (name, sha256) in enumerate(files):
             if name in ("", ".", "..") or Path(name).name != name:
                 raise ValueError(f"manifest file name {name!r} is not a plain file name")
@@ -319,12 +319,12 @@ class PathEnsemble:
             if hashlib.sha256(blob).hexdigest() != sha256:
                 raise ValueError(f"checksum mismatch for {name}")
             f = decode_field(blob)
-            if (f.lattice, f.representation, f.layout) != (
-                    lat, Representation.PHYSICAL, Layout.SPACE_TIME):
+            if (f.lattice, f.representation, f.space_time) != (
+                    lat, Representation.PHYSICAL, True):
                 raise ValueError(f"{name} is not a physical space-time field "
                                  "on the manifest's lattice")
             values[i] = f.real_values()
-        return PathEnsemble(lat, measure, seed, n_paths, values, rng_id)
+        return PathEnsemble(lat, measure, seed, values, rng_id)
 
 
 def simulate_u(measure: SpectralMeasure, lattice: SpaceTimeLattice, seed: int,
@@ -332,10 +332,10 @@ def simulate_u(measure: SpectralMeasure, lattice: SpaceTimeLattice, seed: int,
     """Sample ``n_paths`` exact-in-law solution paths from zero initial data."""
     model = NoiseModel(measure, lattice)
     chunks = _ou_chunks(model, seed, range(n_paths))
-    values = np.zeros((n_paths, lattice.n_time + 1) + lattice.n_space)
+    values = np.zeros((n_paths,) + lattice.shape)
     for chunk, _, eps in chunks:
         values[chunk.start:chunk.stop] = _amplitudes_to_physical(lattice, lattice.march(eps))
-    return PathEnsemble(lattice, measure, seed, n_paths, values)
+    return PathEnsemble(lattice, measure, seed, values)
 
 
 # -- pathwise stochastic integrals and Monte Carlo checks ---------------------

@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 from scipy import integrate
 
-from .lattice import Field, Layout, Representation
+from .lattice import Field, Representation, _grid_density
 
 
 class Family(str, Enum):
@@ -48,10 +48,11 @@ class Family(str, Enum):
 class SpectralMeasure:
     """A radial spectral measure g(|xi|^2) dxi on R^dim.
 
-    ``alpha`` is ignored for the white family.  ``formal`` permits Riesz
-    exponents alpha >= dim for symbol-level pipelines on low-dimensional
-    lattices (the measure is then not a tempered measure near xi = 0; every
-    consumer records this caveat in its report metadata).
+    ``alpha`` is ignored for the white family but must be finite for every
+    family.  ``formal`` permits Riesz exponents alpha >= dim for
+    symbol-level pipelines on low-dimensional lattices (the measure is then
+    not a tempered measure near xi = 0; CLI reports and ensemble manifests
+    record the ``formal`` flag).
     """
 
     family: Family
@@ -65,6 +66,8 @@ class SpectralMeasure:
         if self.dim < 1 or int(self.dim) != self.dim:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
         a = self.alpha
+        if not math.isfinite(a):
+            raise ValueError(f"alpha must be finite, got alpha={a}")
         if self.family is Family.RIESZ:
             if not self.formal and not (0.0 < a < self.dim):
                 raise ValueError(
@@ -159,8 +162,7 @@ def kernel_eval(m: SpectralMeasure, lattice):
     Emits a warning when the density is not absolutely integrable (kernel only
     exists as a distribution; lattice values are periodization-limited).
     """
-    if m.dim != lattice.dim:
-        raise ValueError(f"measure dim {m.dim} != lattice dim {lattice.dim}")
+    g = _grid_density(m, lattice)
     if not density_integrable(m):
         warnings.warn(
             f"{m.family.value} density is not absolutely integrable: kernel values "
@@ -168,10 +170,8 @@ def kernel_eval(m: SpectralMeasure, lattice):
             RuntimeWarning,
             stacklevel=2,
         )
-    g = m.density(lattice.xi_squared)
     values = np.fft.ifftn(g) / lattice.cell_volume
-    return Field(lattice, Representation.PHYSICAL, Layout.SPACE_ONLY,
-                 values.astype(np.complex128))
+    return Field(lattice, Representation.PHYSICAL, values.astype(np.complex128))
 
 
 def periodized_heat_kernel(t: np.ndarray, diffs, extent) -> np.ndarray:

@@ -266,7 +266,7 @@ def test_c10_localization():
         lat = SpaceTimeLattice(1, (8.0,), (n,), 1.0, 4)
         mu = spatial_bump(lat, (2.0,), (0.5,))
         nu = spatial_bump(lat, (6.0,), (0.5,), amplitude=0.7)
-        kappa = Field(lat, mu.representation, mu.layout, mu.values + nu.values)
+        kappa = Field(lat, mu.representation, mu.values + nu.values)
         chi = radial_cutoff(lat, (2.0,), 1.2, 2.2)
         gaps.append(localization_check(kappa, chi, k=1)["gap"])
     ratios = [gaps[i] / gaps[i + 1] for i in range(2)]

@@ -5,7 +5,6 @@ import pytest
 
 from spde_lab import (
     Field,
-    Layout,
     Representation,
     SpaceTimeLattice,
     SpectralMeasure,
@@ -91,7 +90,7 @@ def test_operators_commute():
 def test_remove_mean_kills_constants():
     lat = _lat(n=16, nt=4)
     vals = np.full((5, 16), 3.7, dtype=np.complex128)
-    f = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME, vals)
+    f = Field(lat, Representation.PHYSICAL, vals)
     g = remove_mean(f)
     assert np.max(np.abs(g.values)) < 1e-13
 
@@ -109,8 +108,7 @@ def test_operator_J_requires_riesz_4k():
 
 def test_J_zero_is_zero():
     lat = _lat()
-    z = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-              np.zeros((lat.n_time + 1, lat.n_space[0]), dtype=np.complex128))
+    z = Field(lat, Representation.PHYSICAL, np.zeros(lat.shape, dtype=np.complex128))
     m = SpectralMeasure("riesz", 4.0, 1, formal=True)
     out = operator_J(z, m)
     assert not np.any(out.values)
@@ -135,7 +133,7 @@ def test_localization_gap_small_and_halving():
         lat = SpaceTimeLattice(1, (8.0,), (n,), 1.0, 4)
         mu = spatial_bump(lat, (2.0,), (0.5,))
         nu = spatial_bump(lat, (6.0,), (0.5,), amplitude=0.7)
-        kappa = Field(lat, mu.representation, mu.layout, mu.values + nu.values)
+        kappa = Field(lat, mu.representation, mu.values + nu.values)
         from spde_lab import radial_cutoff
         chi = radial_cutoff(lat, (2.0,), 1.2, 2.2)
         gaps.append(localization_check(kappa, chi, k=1)["gap"])
@@ -146,8 +144,7 @@ def test_localization_gap_small_and_halving():
 def test_localization_chi_identically_one_gives_zero():
     lat = SpaceTimeLattice(1, (8.0,), (128,), 1.0, 4)
     kappa = spatial_bump(lat, (4.0,), (0.8,))
-    chi = Field(lat, Representation.PHYSICAL, Layout.SPACE_ONLY,
-                np.ones(128, dtype=np.complex128))
+    chi = Field(lat, Representation.PHYSICAL, np.ones(128, dtype=np.complex128))
     rep = localization_check(kappa, chi, k=1)
     assert rep["gap"] == 0.0
 

@@ -11,9 +11,13 @@ from spde_lab import (
     SpectralMeasure,
     assemble_covariance,
     covariance_oracle,
+    element_from_h,
     heat_column,
+    inner0,
+    kernel_eval,
     mc_covariance,
     random_band_limited,
+    representer,
     spatial_bump,
 )
 
@@ -149,6 +153,22 @@ def test_point_entry_points_accept_numpy_integers():
     model = NoiseModel(_MEASURE2, _LAT2)
     a, b = (mc_covariance(model, [(1, (0, 0)), r], 0, 4)["estimate"] for r in (p, q))
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m, phi: covariance_oracle(m, _LAT2, (0.5, (0.0, 0.0)), (0.5, (1.0, 2.0))),
+    lambda m, phi: assemble_covariance(m, _LAT2, [(0.5, (0.0, 0.0)), (0.5, (1.0, 2.0))]),
+    lambda m, phi: element_from_h(representer(phi, _MEASURE2, check=False).h, m),
+    lambda m, phi: representer(phi, m, check=False),
+    lambda m, phi: inner0(phi, phi, m),
+    lambda m, phi: NoiseModel(m, _LAT2),
+    lambda m, phi: kernel_eval(m, _LAT2),
+], ids=["covariance_oracle", "assemble_covariance", "element_from_h",
+        "representer_unchecked", "inner0", "NoiseModel", "kernel_eval"])
+def test_entry_points_refuse_a_measure_of_another_dimension(entry):
+    phi = random_band_limited(_LAT2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="measure dim 1 != lattice dim 2"):
+        entry(SpectralMeasure("bessel", 2.5, 1), phi)
 
 
 def test_phase_is_the_plane_wave_exponent():

@@ -1,5 +1,7 @@
 """Lattice, fields, transforms, and the covariance pairing."""
 
+import hashlib
+import itertools
 import struct
 
 import numpy as np
@@ -7,7 +9,6 @@ import pytest
 
 from spde_lab import (
     Field,
-    Layout,
     Representation,
     SpaceTimeLattice,
     SpectralMeasure,
@@ -20,8 +21,8 @@ from spde_lab import (
     random_band_limited,
     read_field,
     refine_field,
+    spatial_bump,
     write_field,
-    zero_field,
 )
 from spde_lab.lattice import decode_field
 
@@ -96,8 +97,7 @@ def test_single_mode_transform_amplitude():
     lat = _lat(n=64, L=2.0 * np.pi)
     x = lat.space_axes()[0]
     vals = np.repeat(np.cos(3.0 * x)[None, :], lat.n_time + 1, axis=0)
-    f = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-              vals.astype(np.complex128))
+    f = Field(lat, Representation.PHYSICAL, vals.astype(np.complex128))
     F = forward_transform(f).values[0]
     # direct quadrature: (2 pi)^(-1/2) sum_x cos(3x) e^{-i xi x} dx
     xi = lat.xi_axes()[0]
@@ -122,10 +122,10 @@ def test_inner0_uses_left_endpoint_time_rule():
     lat = _lat()
     rng = np.random.default_rng(3)
     f = random_band_limited(lat, rng)
-    g = Field(lat, f.representation, f.layout, f.values.copy())
+    g = Field(lat, f.representation, f.values.copy())
     bumped = g.values.copy()
     bumped[-1] += 7.0  # corrupt only the t = T slice
-    g = Field(lat, g.representation, g.layout, bumped)
+    g = Field(lat, g.representation, bumped)
     white = SpectralMeasure("white", 1.0, 1)
     assert inner0(f, g, white) == pytest.approx(inner0(f, f, white), rel=1e-12)
 
@@ -148,8 +148,7 @@ def test_riesz_zero_mode_sentinel_in_pairing():
     t = lat.times()
     env = np.sin(np.pi * t / lat.t_max) ** 2
     vals = np.repeat(env[:, None], lat.n_space[0], axis=1)
-    f = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-              vals.astype(np.complex128))
+    f = Field(lat, Representation.PHYSICAL, vals.astype(np.complex128))
     m = SpectralMeasure("riesz", 0.5, 1)
     assert norm0(f, m) == 0.0
 
@@ -179,15 +178,6 @@ def test_refine_field_preserves_band_limited_content():
     np.testing.assert_allclose(fine.values[::2, ::2], f.values, atol=1e-12)
 
 
-def test_zero_field_shapes():
-    lat = _lat(n=16, nt=8)
-    st = zero_field(lat, Layout.SPACE_TIME)
-    so = zero_field(lat, Layout.SPACE_ONLY)
-    assert st.values.shape == (9, 16)
-    assert so.values.shape == (16,)
-    assert not np.any(st.values) and not np.any(so.values)
-
-
 def test_field_container_round_trip(tmp_path):
     lat = _lat(n=16, nt=8)
     rng = np.random.default_rng(7)
@@ -196,7 +186,7 @@ def test_field_container_round_trip(tmp_path):
     write_field(f, p)
     g = read_field(p)
     assert g.lattice == lat
-    assert g.layout is f.layout and g.representation is f.representation
+    assert g.space_time == f.space_time and g.representation is f.representation
     np.testing.assert_array_equal(g.values, f.values)
 
 
@@ -223,8 +213,8 @@ def test_field_container_rejects_unknown_codes(tmp_path):
     p = tmp_path / "f.fld"
     write_field(random_band_limited(lat, np.random.default_rng(7)), p)
     full = p.read_bytes()
-    for offset in (48, 56):  # representation and layout codes for dim 1
-        p.write_bytes(full[:offset] + (7).to_bytes(8, "little")
+    for offset, code in itertools.product((48, 56), (7, 2, -1)):  # dim 1 rep/layout codes
+        p.write_bytes(full[:offset] + code.to_bytes(8, "little", signed=True)
                       + full[offset + 8:])
         with pytest.raises(ValueError, match="unknown representation/layout"):
             read_field(p)
@@ -305,14 +295,43 @@ def test_grid_point_wraps_space_indices():
 def test_field_shape_validation():
     lat = _lat(n=16, nt=8)
     with pytest.raises(ValueError):
-        Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-              np.zeros((3, 16), dtype=np.complex128))
+        Field(lat, Representation.PHYSICAL, np.zeros((3, 16), dtype=np.complex128))
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (9, 8), (8,), (16, 9), (9, 16, 1), ()])
+def test_field_refuses_a_shape_of_neither_layout(shape):
+    with pytest.raises(ValueError, match="is neither the lattice's space shape"):
+        Field(_lat(n=16, nt=8), Representation.PHYSICAL, np.zeros(shape))
+
+
+def test_field_layout_is_its_shape():
+    lat = _lat(dim=2, n=4, nt=8)
+    assert lat.shape == (9, 4, 4)
+    assert Field(lat, Representation.PHYSICAL, np.zeros(lat.shape)).space_time
+    assert not Field(lat, Representation.FREQUENCY, np.zeros(lat.n_space)).space_time
+
+
+# sha256 of write_field's bytes for a space-only frequency field and a
+# space-time physical field on a 2-D lattice (numpy 2.4, x86-64)
+@pytest.mark.parametrize("make, digest", [
+    (lambda lat: forward_transform(spatial_bump(lat, (2.0, 1.0), (1.5, 0.8))),
+     "f9f6dd98a8ee99ebc521c8464696b6e541b7777b7301421b91f61bfdeb7284fe"),
+    (lambda lat: random_band_limited(lat, np.random.default_rng(7)),
+     "29e74b71f2e8d65e71715ed49f5a50c0785c476e8d37d58b81ac75256bcedee7"),
+], ids=["space_only", "space_time"])
+def test_field_container_bytes_match_pinned_digest(tmp_path, make, digest):
+    f = make(SpaceTimeLattice(2, (4.0, 2.0), (8, 4), 1.0, 3))
+    blob = write_field(f, tmp_path / "f.fld")
+    assert hashlib.sha256(blob).hexdigest() == digest
+    g = decode_field(blob)
+    assert g.space_time == f.space_time
+    np.testing.assert_array_equal(g.values, f.values)
 
 
 def test_real_values_guard():
     lat = _lat(n=16, nt=8)
     vals = np.zeros((9, 16), dtype=np.complex128)
     vals[2, 3] = 1j
-    f = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME, vals)
+    f = Field(lat, Representation.PHYSICAL, vals)
     with pytest.raises(ValueError):
         f.real_values()

@@ -5,7 +5,6 @@ import pytest
 
 from spde_lab import (
     Field,
-    Layout,
     Representation,
     SpaceTimeLattice,
     SpectralMeasure,
@@ -231,7 +230,9 @@ def test_band_width_study_contract():
         assert {k: row[k] for k in ("inside", "band", "outside")} == ref
     assert study["non_increasing"]
     with pytest.raises(ValueError):
-        band_width_study(C, rect, [])
+        band_width_study(C, rect, [], partition_lattice=obs)
+    with pytest.raises(TypeError, match="partition_lattice"):  # no fallback to C.lattice
+        band_width_study(C, rect, [1, 2])
 
 
 # -- locality experiments -------------------------------------------------------
@@ -263,7 +264,7 @@ def test_kunsch_orthogonality_sign_and_translation():
     m = SpectralMeasure("bessel", 2.0, 1)
     h, g = _bump_pair(lat)
     base = kunsch_orthogonality(m, h, g)
-    g_neg = Field(lat, g.representation, g.layout, -g.values)
+    g_neg = Field(lat, g.representation, -g.values)
     flipped = kunsch_orthogonality(m, h, g_neg)
     assert flipped["raw_inner"] == pytest.approx(-base["raw_inner"], rel=1e-12)
     # shift both bumps by a whole number of cells: pairing is unchanged
@@ -288,8 +289,7 @@ def test_kunsch_decomposition_trivial_cutoff():
     m = SpectralMeasure("bessel", 2.0, 1)
     h, _ = _bump_pair(lat)
     zeta = element_from_h(h, m)
-    ones = Field(lat, Representation.PHYSICAL, Layout.SPACE_ONLY,
-                 np.ones(lat.n_space, dtype=np.complex128))
+    ones = Field(lat, Representation.PHYSICAL, np.ones(lat.n_space, dtype=np.complex128))
     rep = kunsch_decomposition(m, zeta, ones)
     assert rep["residual"] <= 1e-12
     assert rep["norm2_g"] <= 1e-12 * rep["norm2_zeta"]
@@ -299,8 +299,7 @@ def test_kunsch_decomposition_split_bumps():
     lat = SpaceTimeLattice(1, (16.0,), (64,), 0.5, 16)
     m = SpectralMeasure("bessel", 2.0, 1)
     h, g = _bump_pair(lat, amp2=0.7)
-    combined = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-                     h.values + g.values)
+    combined = Field(lat, Representation.PHYSICAL, h.values + g.values)
     zeta = element_from_h(combined, m)
     chi = radial_cutoff(lat, center=(0.3 * 16.0,), inner_radius=2.0,
                         outer_radius=4.0)
@@ -317,12 +316,10 @@ def test_kunsch_decomposition_rejects_bad_cutoffs():
     zeta = element_from_h(h, m)
     with pytest.raises(ValueError):  # space-time layout
         kunsch_decomposition(m, zeta, Field(
-            lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-            np.ones((lat.n_time + 1,) + lat.n_space, dtype=np.complex128)))
+            lat, Representation.PHYSICAL, np.ones(lat.shape, dtype=np.complex128)))
     with pytest.raises(ValueError):  # values outside [0, 1]
         kunsch_decomposition(m, zeta, Field(
-            lat, Representation.PHYSICAL, Layout.SPACE_ONLY,
-            2.0 * np.ones(lat.n_space, dtype=np.complex128)))
+            lat, Representation.PHYSICAL, 2.0 * np.ones(lat.n_space, dtype=np.complex128)))
     with pytest.raises(ValueError):  # transition region touches the support
         kunsch_decomposition(m, zeta, radial_cutoff(
             lat, center=(0.3 * 16.0,), inner_radius=0.5, outer_radius=8.0))

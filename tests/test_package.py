@@ -5,7 +5,7 @@ import spde_lab
 # Adding or removing a public name is a reviewed edit of this list.
 PUBLIC_NAMES = [
     "BumpSpec", "CovarianceMatrix", "DalangConditionError", "Family", "Field",
-    "InvariantViolation", "Layout", "NoiseModel", "PathEnsemble", "RNG_ID",
+    "InvariantViolation", "NoiseModel", "PathEnsemble", "RNG_ID",
     "RegionPartition", "Representation", "RkhsElement", "SpaceTimeLattice",
     "SpectralMeasure", "apply_multiplier", "assemble_covariance",
     "band_width_study", "bessel_potential", "column_gram_check",
@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "rkhs_inner", "sample_noise_increment", "simulate_u", "solve_backward",
     "solve_forward", "space_time_bump", "spatial_bump", "spectral_amplitudes",
     "support_mask", "time_profile", "truncation_tail", "write_field",
-    "zero_field",
 ]
 
 

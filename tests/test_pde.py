@@ -6,7 +6,6 @@ import pytest
 from spde_lab import (
     BumpSpec,
     Field,
-    Layout,
     Representation,
     SpaceTimeLattice,
     SpectralMeasure,
@@ -17,7 +16,6 @@ from spde_lab import (
     solve_backward,
     solve_forward,
     space_time_bump,
-    zero_field,
 )
 from spde_lab.pde import riemann_convergence_study as study_fn
 
@@ -28,7 +26,7 @@ def _lat(n=64, nt=32, L=2.0 * np.pi, T=1.0):
 
 def test_zero_forcing_gives_zero_solution():
     lat = _lat()
-    h = solve_forward(zero_field(lat, Layout.SPACE_TIME))
+    h = solve_forward(Field(lat, Representation.PHYSICAL, np.zeros(lat.shape)))
     assert not np.any(h.values)
 
 
@@ -38,8 +36,7 @@ def test_forward_single_mode_closed_form():
     lat = _lat()
     x = lat.space_axes()[0]
     vals = np.repeat(np.sin(x)[None, :], lat.n_time + 1, axis=0)
-    phi1 = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-                 vals.astype(np.complex128))
+    phi1 = Field(lat, Representation.PHYSICAL, vals.astype(np.complex128))
     h = solve_forward(phi1)
     t = lat.times()
     expected = (1.0 - np.exp(-t))[:, None] * np.sin(x)[None, :]
@@ -53,8 +50,7 @@ def test_backward_single_mode_closed_form():
     lat = _lat()
     x = lat.space_axes()[0]
     vals = np.repeat(np.sin(x)[None, :], lat.n_time + 1, axis=0)
-    eta = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-                vals.astype(np.complex128))
+    eta = Field(lat, Representation.PHYSICAL, vals.astype(np.complex128))
     phi = solve_backward(eta)
     t = lat.times()
     expected = (1.0 - np.exp(-(lat.t_max - t)))[:, None] * np.sin(x)[None, :]
@@ -97,13 +93,13 @@ def test_duality_forward_backward():
 def test_positivity_of_zero_mode_forcing():
     lat = _lat()
     vals = np.ones((lat.n_time + 1, lat.n_space[0]), dtype=np.complex128)
-    h = solve_forward(Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME, vals))
+    h = solve_forward(Field(lat, Representation.PHYSICAL, vals))
     assert np.all(h.values.real >= -1e-14)
 
 
 def test_fourier_bound_zero_eta():
     lat = SpaceTimeLattice(1, (8.0,), (64,), 1.0, 64)
-    rep = fourier_bound_check(zero_field(lat, Layout.SPACE_TIME))
+    rep = fourier_bound_check(Field(lat, Representation.PHYSICAL, np.zeros(lat.shape)))
     assert rep["n_hat"] == 0.0
     assert rep["stable"]
 

@@ -6,8 +6,8 @@ import pytest
 from spde_lab import (
     Field,
     InvariantViolation,
-    Layout,
     Representation,
+    RkhsElement,
     SpaceTimeLattice,
     SpectralMeasure,
     duality_check,
@@ -32,8 +32,7 @@ def _lat(n=32, nt=16, L=2.0 * np.pi, T=1.0):
 def _mode_field(lat, fn):
     x = lat.space_axes()[0]
     vals = np.repeat(fn(x)[None, :], lat.n_time + 1, axis=0)
-    return Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME,
-                 vals.astype(np.complex128))
+    return Field(lat, Representation.PHYSICAL, vals.astype(np.complex128))
 
 
 def test_representer_white_single_mode_closed_form():
@@ -93,7 +92,7 @@ def test_representer_linear():
     f = random_band_limited(lat, rng)
     g = random_band_limited(lat, rng)
     m = SpectralMeasure("bessel", 2.0, 1)
-    combo = Field(lat, f.representation, f.layout, 2.0 * f.values - 3.0 * g.values)
+    combo = Field(lat, f.representation, 2.0 * f.values - 3.0 * g.values)
     lhs = representer(combo, m, check=False).h.values
     rhs = (2.0 * representer(f, m, check=False).h.values
            - 3.0 * representer(g, m, check=False).h.values)
@@ -115,7 +114,7 @@ def test_element_from_h_round_trip():
 def test_element_from_h_rejects_nonzero_initial_slice():
     lat = _lat()
     vals = np.ones((lat.n_time + 1, lat.n_space[0]), dtype=np.complex128)
-    h = Field(lat, Representation.PHYSICAL, Layout.SPACE_TIME, vals)
+    h = Field(lat, Representation.PHYSICAL, vals)
     with pytest.raises(ValueError):
         element_from_h(h, SpectralMeasure("bessel", 2.0, 1))
 
@@ -201,7 +200,7 @@ def test_krylov_norm_homogeneous():
     lat = _lat()
     m = SpectralMeasure("bessel", 2.0, 1)
     phi = random_band_limited(lat, np.random.default_rng(7))
-    phi2 = Field(lat, phi.representation, phi.layout, 2.0 * phi.values)
+    phi2 = Field(lat, phi.representation, 2.0 * phi.values)
     a, a2 = representer(phi, m, check=False), representer(phi2, m, check=False)
     assert krylov_norm(a2) == pytest.approx(2.0 * krylov_norm(a), rel=1e-12)
 
@@ -233,6 +232,15 @@ def test_markov_guarantee_flags():
     assert markov_guarantee(SpectralMeasure("riesz", 4.0, 1, formal=True))
     assert not markov_guarantee(SpectralMeasure("riesz", 0.5, 1))
     assert not markov_guarantee(SpectralMeasure("heat_kernel", 1.0, 1))
+
+
+def test_element_markov_guarantee_is_read_from_its_measure():
+    lat = _lat(n=16, nt=8)
+    elem = representer(random_band_limited(lat, np.random.default_rng(0)),
+                       SpectralMeasure("bessel", 2.0, 1), check=False)
+    assert elem.markov_guarantee
+    odd = RkhsElement(elem.h, elem.phi1, elem.phi, SpectralMeasure("bessel", 3.0, 1))
+    assert not odd.markov_guarantee
 
 
 def test_norm_equivalence_study_contract():

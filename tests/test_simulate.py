@@ -350,6 +350,16 @@ def test_ensemble_save_load_round_trip(tmp_path):
     assert again.measure == ens.measure
 
 
+def test_ensemble_path_count_is_the_number_of_value_rows(tmp_path):
+    ens = simulate_u(SpectralMeasure("bessel", 2.0, 1), _lat(n=16, nt=8),
+                     seed=3, n_paths=3)
+    two = PathEnsemble(ens.lattice, ens.measure, ens.seed, ens.values[:2])
+    assert (ens.n_paths, two.n_paths) == (3, 2)
+    again = PathEnsemble.load(two.save(tmp_path / "two"))
+    assert again.n_paths == 2
+    np.testing.assert_array_equal(again.values, ens.values[:2])
+
+
 def test_ensemble_load_detects_corruption(tmp_path):
     ens = simulate_u(SpectralMeasure("bessel", 2.0, 1), _lat(n=16, nt=8),
                      seed=3, n_paths=2)
@@ -405,7 +415,9 @@ def _edit_manifest(d, edit):
     (lambda m: m["lattice"].pop("t_max"), "missing key 't_max'"),
     (lambda m: m.update(format="spde-lab-ensemble-2"), "unknown ensemble format"),
     (lambda m: m["lattice"].update(t_max=float("inf")), "must be finite"),
-], ids=["top_key", "file_key", "lattice_key", "format", "non_finite_lattice"])
+    (lambda m: m["measure"].update(alpha=float("nan")), "alpha must be finite"),
+], ids=["top_key", "file_key", "lattice_key", "format", "non_finite_lattice",
+        "non_finite_alpha"])
 def test_ensemble_load_rejects_bad_manifest(tmp_path, edit, message):
     _, d = _saved(tmp_path)
     _edit_manifest(d, edit)

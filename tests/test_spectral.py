@@ -59,6 +59,15 @@ def test_parameter_validation():
     assert m.formal
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("family, formal", [
+    ("white", False), ("riesz", False), ("riesz", True), ("bessel", False),
+    ("heat_kernel", False)], ids=["white", "riesz", "riesz_formal", "bessel", "heat_kernel"])
+def test_non_finite_alpha_is_refused(family, formal, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        SpectralMeasure(family, alpha, 1, formal)
+
+
 def test_dalang_condition_decisions():
     # integrand g(|xi|^2)/(1+|xi|^2) integrable over R^d:
     assert dalang_condition(SpectralMeasure("white", 1.0, 1))
