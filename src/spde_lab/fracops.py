@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Field, apply_multiplier, as_physical, l2_norm
+from .lattice import Field, apply_multiplier, inverse_transform, l2_norm
 from .spectral import Family, SpectralMeasure
 from .bumps import support_mask
 
@@ -135,6 +135,6 @@ def mixed_time_space_norm(f: Field, q: float) -> float:
     if q <= 0:
         raise ValueError("q must be positive")
     lat = f.lattice
-    vals = np.abs(as_physical(f).values[:-1])
+    vals = np.abs(inverse_transform(f).values[:-1])
     spatial = np.sum(vals**q, axis=tuple(range(1, lat.dim + 1))) * lat.cell_volume
     return float(np.sqrt(np.sum(spatial ** (2.0 / q)) * lat.dt))

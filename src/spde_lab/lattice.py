@@ -109,13 +109,16 @@ class SpaceTimeLattice:
         """(t_m, x_j) for indices (m, j); x_j = (j mod n) L / n on each axis.
 
         Every index must be an integer (numpy integers included): a fractional
-        index is refused, not truncated to a neighbouring grid point."""
+        index is refused, not truncated to a neighbouring grid point.  The
+        time index must lie in [0, n_time]; space indices wrap."""
         if len(space_index) != self.dim:
             raise ValueError(f"space index {tuple(space_index)} has {len(space_index)} "
                              f"entries for a {self.dim}-D lattice")
+        point = f"grid point ({time_index!r}, {tuple(space_index)!r})"
         if not all(isinstance(i, Integral) for i in (time_index, *space_index)):
-            raise ValueError(f"grid point ({time_index!r}, {tuple(space_index)!r}) "
-                             "has a non-integer index")
+            raise ValueError(f"{point} has a non-integer index")
+        if not 0 <= time_index <= self.n_time:
+            raise ValueError(f"{point} has a time index outside [0, {self.n_time}]")
         return (time_index * self.dt,
                 tuple((int(j) % n) * L / n for j, n, L
                       in zip(space_index, self.n_space, self.extent)))
@@ -240,6 +243,25 @@ class SpaceTimeLattice:
         )
 
 
+def _physical_points(lattice: SpaceTimeLattice, points) -> tuple:
+    """Times (P,) and coordinates (P, dim) of physical points (t, (x...)).
+
+    Refuses the first point without one coordinate per axis, or whose time
+    is not in [0, t_max] (NaN included)."""
+    times, coords = tuple(zip(*points)) or ((), ())
+    counts = np.fromiter(map(len, coords), int, len(coords))
+    if (bad := np.flatnonzero(counts != lattice.dim)).size:
+        i = bad[0]
+        raise ValueError(f"point {(times[i], coords[i])} has {counts[i]} coordinates "
+                         f"for a {lattice.dim}-D lattice")
+    t = np.array(times, dtype=float)
+    if (bad := np.flatnonzero(~((t >= 0.0) & (t <= lattice.t_max)))).size:
+        i = bad[0]
+        raise ValueError(f"point {(times[i], coords[i])} has a time outside "
+                         f"[0, {lattice.t_max}]")
+    return t, np.array(coords, dtype=float).reshape(len(t), lattice.dim)
+
+
 @dataclass
 class Field:
     """Values on a lattice, in physical or frequency representation.
@@ -294,26 +316,20 @@ def spectral_transform(values: np.ndarray, lattice: SpaceTimeLattice,
 
 
 def forward_transform(f: Field) -> Field:
-    """Physical -> frequency, (2 pi)^(-d/2) dx^d fftn per time slice."""
-    if f.representation is not Representation.PHYSICAL:
-        raise ValueError("forward_transform expects a physical-representation field")
+    """Physical -> frequency, (2 pi)^(-d/2) dx^d fftn per time slice; a
+    frequency field is returned as it is."""
+    if f.representation is Representation.FREQUENCY:
+        return f
     return Field(f.lattice, Representation.FREQUENCY, spectral_transform(f.values, f.lattice))
 
 
 def inverse_transform(f: Field) -> Field:
-    """Frequency -> physical, exact inverse of forward_transform."""
-    if f.representation is not Representation.FREQUENCY:
-        raise ValueError("inverse_transform expects a frequency-representation field")
+    """Frequency -> physical, exact inverse of forward_transform; a physical
+    field is returned as it is."""
+    if f.representation is Representation.PHYSICAL:
+        return f
     return Field(f.lattice, Representation.PHYSICAL,
                  spectral_transform(f.values, f.lattice, inverse=True))
-
-
-def as_frequency(f: Field) -> Field:
-    return f if f.representation is Representation.FREQUENCY else forward_transform(f)
-
-
-def as_physical(f: Field) -> Field:
-    return f if f.representation is Representation.PHYSICAL else inverse_transform(f)
 
 
 def apply_multiplier(f: Field, symbol) -> Field:
@@ -329,7 +345,7 @@ def apply_multiplier(f: Field, symbol) -> Field:
         sym = np.broadcast_to(sym, lat.n_space)
     if np.any(np.isnan(sym)):
         raise ValueError("multiplier symbol evaluated to NaN on the frequency grid")
-    g = as_frequency(f)
+    g = forward_transform(f)
     values = g.values * sym  # broadcasting covers the leading time axis
     out = Field(lat, Representation.FREQUENCY, values)
     return out if f.representation is Representation.FREQUENCY else inverse_transform(out)
@@ -350,7 +366,7 @@ def l2_inner(f: Field, g: Field) -> complex:
     fields sum_k dt sum_x f conj(g) dx^d, left-endpoint in time."""
     _check_pair(f, g, f.space_time)
     lat = f.lattice
-    a, b = as_physical(f).values, as_physical(g).values
+    a, b = inverse_transform(f).values, inverse_transform(g).values
     if not f.space_time:
         return complex(np.sum(a * np.conj(b)) * lat.cell_volume)
     return complex(np.sum(a[:-1] * np.conj(b[:-1])) * lat.cell_volume * lat.dt)
@@ -384,8 +400,8 @@ def inner0(f: Field, g: Field, measure) -> complex:
     real and nonnegative.
     """
     _check_pair(f, g, True)
-    F = as_frequency(f).values[None]
-    G = F if g is f else as_frequency(g).values[None]
+    F = forward_transform(f).values[None]
+    G = F if g is f else forward_transform(g).values[None]
     return complex(pair_stacks(F, G, measure, f.lattice)[0])
 
 
@@ -434,7 +450,7 @@ def refine_field(f: Field) -> Field:
     # spatial zero-padding per slice: wavenumber k moves to index k mod 2n
     padded = np.zeros((lat.n_time + 1,) + fine.n_space, dtype=np.complex128)
     dest = [(np.fft.fftfreq(n) * n).astype(int) % (2 * n) for n in lat.n_space]
-    padded[(slice(None),) + np.ix_(*dest)] = as_frequency(f).values
+    padded[(slice(None),) + np.ix_(*dest)] = forward_transform(f).values
     spatial = spectral_transform(padded, fine, inverse=True)
     # linear time interpolation onto the refined slices
     t_coarse = np.arange(lat.n_time + 1) * lat.dt
@@ -453,7 +469,8 @@ _REP_CODE = {Representation.PHYSICAL: 0, Representation.FREQUENCY: 1}
 
 
 def write_field(f: Field, path) -> bytes:
-    """Serialize a field: fixed header + little-endian float64 interleaved re/im.
+    """Serialize a field: fixed header + little-endian complex128 values (float64
+    re/im pairs) in C order.
 
     Returns the bytes written.
     """
@@ -461,11 +478,7 @@ def write_field(f: Field, path) -> bytes:
     header = struct.pack(f"<8sq{lat.dim}qq{lat.dim}ddqq", _MAGIC, lat.dim,
                          *lat.n_space, lat.n_time, *lat.extent, lat.t_max,
                          _REP_CODE[f.representation], int(f.space_time))
-    flat = np.ascontiguousarray(f.values).ravel()
-    inter = np.empty(2 * flat.size, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    blob = header + inter.tobytes()
+    blob = header + np.ascontiguousarray(f.values, dtype="<c16").tobytes()
     Path(path).write_bytes(blob)
     return blob
 
@@ -502,8 +515,7 @@ def decode_field(blob: bytes) -> Field:
     if len(blob) > expected:
         raise ValueError(f"field container has {len(blob) - expected} bytes "
                          "after its payload")
-    raw = np.frombuffer(blob, dtype="<f8", offset=header)
-    return Field(lat, rep, (raw[0::2] + 1j * raw[1::2]).reshape(shape))
+    return Field(lat, rep, np.frombuffer(blob, "<c16", offset=header).reshape(shape).copy())
 
 
 def read_field(path) -> Field:

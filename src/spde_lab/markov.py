@@ -29,28 +29,18 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .bumps import support_mask
 from .errors import InvariantViolation
-from .lattice import Field, Representation, SpaceTimeLattice, _grid_density, as_physical
+from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
+                      _physical_points, inverse_transform)
 from .rkhs import (RkhsElement, element_from_h, heat_column, krylov_norm, rkhs_inner,
                    rkhs_inner_raw)
 from .spectral import Family, SpectralMeasure
 
 
-def _check_points(lattice: SpaceTimeLattice, points) -> None:
-    """Refuse the first point (t, (x...)) without one coordinate per axis."""
-    if bad := [p for p in points if len(p[1]) != lattice.dim]:
-        raise ValueError(f"point {bad[0]} has {len(bad[0][1])} coordinates for a "
-                         f"{lattice.dim}-D lattice")
-
-
 def covariance_oracle(measure: SpectralMeasure, lattice: SpaceTimeLattice,
                       p, q) -> float:
     """E u(p) u(q) for p = (t, (x...)), q = (s, (y...)), coordinates physical."""
-    _check_points(lattice, (p, q))
-    t, x = p
-    s, y = q
-    if not (0.0 <= t <= lattice.t_max and 0.0 <= s <= lattice.t_max):
-        raise ValueError("times must lie in [0, t_max]")
-    phase = lattice.phase(np.subtract(x, y))
+    (t, s), (x, y) = _physical_points(lattice, (p, q))
+    phase = lattice.phase(x - y)
     g = _grid_density(measure, lattice)
     c = (2.0 * np.pi) ** (-lattice.dim)
     return float(c * lattice.freq_cell_volume
@@ -80,15 +70,11 @@ def assemble_covariance(measure: SpectralMeasure, lattice: SpaceTimeLattice,
     inconsistency); a tiny negative tail inside that tolerance is clipped to
     zero (PSD projection) and recorded in ``meta``.
     """
-    points = [(float(t), tuple(float(c) for c in x)) for t, x in points]
-    _check_points(lattice, points)
+    points = list(points)
+    t_arr, x_arr = _physical_points(lattice, points)  # (P,), (P, d)
     P = len(points)
-    if P > 4096:
-        raise ValueError("dense covariance limited to 4096 points")
-    t_arr = np.array([p[0] for p in points])
-    if np.any(t_arr < 0) or np.any(t_arr > lattice.t_max):
-        raise ValueError("times must lie in [0, t_max]")
-    x_arr = np.array([p[1] for p in points])  # (P, d)
+    if not 1 <= P <= 4096:
+        raise ValueError(f"dense covariance needs 1 to 4096 points, got {P}")
 
     # sum low modes last: they carry most weight
     order = np.argsort(lattice.xi_squared.ravel())[::-1]
@@ -166,7 +152,8 @@ def region_partition(lattice: SpaceTimeLattice, points, rect_physical,
     rect_idx = tuple((lo / cell, hi / cell)
                      for (lo, hi), cell in zip(rect_physical, cells))
     lo, hi = np.array(rect_idx).T
-    coords = np.array([(t, *x) for t, x in points]).reshape(-1, len(cells)) / cells
+    t, x = _physical_points(lattice, points)
+    coords = np.column_stack([t, x]) / cells
     margins = np.minimum(coords - lo, hi - coords)
     deficits = np.maximum(np.maximum(lo - coords, coords - hi), 0.0)
     signed = np.where(np.all(margins > 0, axis=1), margins.min(axis=1),
@@ -245,8 +232,8 @@ def band_width_study(C: CovarianceMatrix, rect_physical, widths,
 def _spatial_separation_cells(a: Field, b: Field) -> float:
     """Minimum toroidal Chebyshev distance (cells) between spatial supports."""
     lat = a.lattice
-    mask_a = support_mask(as_physical(a))
-    mask_b = support_mask(as_physical(b))
+    mask_a = support_mask(inverse_transform(a))
+    mask_b = support_mask(inverse_transform(b))
     # collapse time: a spatial site is occupied if any time slice uses it
     if a.space_time:
         mask_a = mask_a.any(axis=0)
@@ -310,7 +297,7 @@ def kunsch_decomposition(measure: SpectralMeasure, zeta: RkhsElement,
     chi_vals = chi.real_values()
     if chi_vals.min() < -1e-12 or chi_vals.max() > 1 + 1e-12:
         raise ValueError("cutoff values must lie in [0, 1]")
-    zeta_h = as_physical(zeta.h)
+    zeta_h = inverse_transform(zeta.h)
     transition = (chi_vals > 1e-9) & (chi_vals < 1 - 1e-9)
     occupied = support_mask(zeta_h).any(axis=0)
     if np.any(transition & occupied):

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (Field, Representation, SpaceTimeLattice,
-                      as_frequency, as_physical, forward_transform,
+from .lattice import (Field, Representation, SpaceTimeLattice, forward_transform,
                       inverse_transform, norm0, refine_field)
 from .bumps import mollifier, space_time_bump
 from .spectral import periodized_heat_kernel
@@ -42,7 +41,7 @@ def solve_forward(phi1: Field) -> Field:
     if not phi1.space_time:
         raise ValueError("solve_forward expects a space-time forcing field")
     lat = phi1.lattice
-    out = lat.march(lat.duhamel_weight * as_frequency(phi1).values[None])[0]
+    out = lat.march(lat.duhamel_weight * forward_transform(phi1).values[None])[0]
     return inverse_transform(Field(lat, Representation.FREQUENCY, out))
 
 
@@ -55,13 +54,13 @@ def solve_backward(eta: Field) -> Field:
         raise ValueError("solve_backward expects a space-time forcing field")
     lat = eta.lattice
     # the forward march in reversed time: phi(t_k) = a phi(t_{k+1}) + w eta(t_{k+1})
-    out = lat.march(lat.duhamel_weight * as_frequency(eta).values[None, ::-1])[0, ::-1]
+    out = lat.march(lat.duhamel_weight * forward_transform(eta).values[None, ::-1])[0, ::-1]
     return inverse_transform(Field(lat, Representation.FREQUENCY, out))
 
 
 def _check_support_margin(eta: Field, margin: int) -> None:
     """Require |eta| ~ 0 on ``margin`` cells at the spatial seam and both time ends."""
-    vals = np.abs(as_physical(eta).values)
+    vals = np.abs(inverse_transform(eta).values)
     scale = float(vals.max())
     if scale == 0.0:
         return

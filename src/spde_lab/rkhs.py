@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
-                      apply_multiplier, as_frequency, band_limit,
-                      forward_transform, inner0, inverse_transform, l2_inner,
-                      l2_norm, norm0, pair_stacks, spectral_transform)
+                      apply_multiplier, band_limit, forward_transform, inner0,
+                      inverse_transform, l2_inner, l2_norm, norm0, pair_stacks,
+                      spectral_transform)
 from .pde import solve_backward, solve_forward
 from .spectral import Family, SpectralMeasure
 
@@ -88,9 +88,8 @@ def representer(phi: Field, measure: SpectralMeasure, check: bool = True) -> Rkh
     """
     if not phi.space_time:
         raise ValueError("representer expects a space-time test field")
-    phys = phi.values if phi.representation is Representation.PHYSICAL else None
-    if phys is not None and float(np.abs(phys.imag).max()) > 1e-12 * max(
-            1.0, float(np.abs(phys).max())):
+    phys = inverse_transform(phi).values
+    if float(np.abs(phys.imag).max()) > 1e-12 * max(1.0, float(np.abs(phys).max())):
         raise ValueError("test field must be real")
     g = _grid_density(measure, phi.lattice)
     phi1 = apply_multiplier(phi, lambda _: g)
@@ -103,7 +102,7 @@ def representer(phi: Field, measure: SpectralMeasure, check: bool = True) -> Rkh
 
 def _probe_check(phi: Field, h: Field, measure: SpectralMeasure) -> dict:
     lat = phi.lattice
-    Phi = as_frequency(phi)
+    Phi = forward_transform(phi)
     h_vals = h.real_values()
     scale = float(np.abs(h_vals).max())
     worst = 0.0
@@ -148,7 +147,7 @@ def element_from_h(h: Field, measure: SpectralMeasure) -> RkhsElement:
             f"element_from_h: the chain of the {measure.family.value} measure with "
             f"alpha={measure.alpha} has conditioning {cond:.3e} > 2^52 on this "
             "lattice, so phi would be round-off")
-    H = as_frequency(h).values
+    H = forward_transform(h).values
     scale = float(np.abs(H).max())
     if scale > 0 and float(np.abs(H[0]).max()) > 1e-10 * scale:
         raise ValueError("h must vanish at t = 0")
@@ -183,9 +182,7 @@ def heat_column(lattice: SpaceTimeLattice, point,
     if kind not in ("reproducing", "covariance"):
         raise ValueError(f"unknown heat-column kind: {kind!r}")
     m, idx = point
-    lattice.grid_point(m, idx)  # refuses fractional and wrong-length indices
-    if not 0 <= m <= lattice.n_time:
-        raise ValueError("time index out of range")
+    lattice.grid_point(m, idx)  # raises on a bad index, time off the lattice included
     if kind == "reproducing":
         weight = lattice.loading
     else:

@@ -398,10 +398,8 @@ def mc_covariance(model: NoiseModel, points, seed: int, n_paths: int) -> dict:
     if len(points) == 0:
         raise ValueError("points is empty: need at least one grid point")
     for m, j in points:
-        lat.grid_point(m, j)  # refuses fractional and wrong-length indices
+        lat.grid_point(m, j)  # raises on a bad index, time off the lattice included
     times = np.array([m for m, _ in points], dtype=int)
-    if bad := [p for p, m in zip(points, times) if not 0 <= m <= lat.n_time]:
-        raise ValueError(f"point {bad[0]} has a time index outside [0, {lat.n_time}]")
     phases = np.stack([lat.point_phase(j).ravel() for _, j in points])  # (P, N)
     rows_at = [(m, rows, phases[rows]) for m in range(1, lat.n_time + 1)
                if (rows := np.nonzero(times == m)[0]).size]

@@ -355,12 +355,12 @@ def test_riemann_bad_bump_exit_1(tmp_path, capsys, bump):
 
 # sha256 over (relative path, bytes) of each output tree for criterion 12's
 # small configs (numpy 2.4, OpenBLAS, x86-64; another FFT or BLAS may round
-# differently).  markov is left out: its band screens run Cholesky and eigen
-# solves whose bytes depend on the BLAS thread count.  On the benchmark's
-# screening inputs (2 CPUs) the assembled matrix is bit-equal under
-# OPENBLAS_NUM_THREADS=1 and the default, but min_eig reads 2.0306979939846e-5
-# against 2.0306979939336e-5 and the width-2 max_abs_cond_corr
-# 0.013336227756215615 against 0.013336227756357582.
+# differently).  markov runs in a child process under OPENBLAS_NUM_THREADS=1:
+# its band screens run Cholesky and eigen solves whose bytes depend on the
+# BLAS thread count.  On the benchmark's screening inputs (2 CPUs) the
+# assembled matrix is bit-equal under OPENBLAS_NUM_THREADS=1 and the default,
+# but min_eig reads 2.0306979939846e-5 against 2.0306979939336e-5 and the
+# width-2 max_abs_cond_corr 0.013336227756215615 against 0.013336227756357582.
 PINNED_TREES = {
     "sample": ({"sample": {"n_paths": 3}},
                "06575aef03789495da5c8a0f9f545eda8f6989f8986ff6e403c99e93cafd9328"),
@@ -370,7 +370,17 @@ PINNED_TREES = {
              "471414e436812353100d6f1b5bf09d695066d0916c48da09cf443943b7b21b48"),
     "riemann": ({"riemann": {"levels": [8, 16, 32], "extent": [8.0], "t_max": 1.0}},
                 "5f0693067163d03bdcaea01dcd6ce2694f8bf44f3440ab4ced23e01ae1ac094d"),
+    "markov": ({"markov": _MARKOV},
+               "1136c6a63a85ffb58429bedbdb719e9b6c85be2af149d0eec26371f13f7000a0"),
 }
+
+
+def _child_env(threads: str) -> dict:
+    """The environment of a child process that imports this checkout's
+    spde_lab and runs OpenBLAS with ``threads`` threads."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_TREES))
@@ -378,7 +388,13 @@ def test_output_tree_matches_pinned_digest(tmp_path, capsys, command):
     extra, pinned = PINNED_TREES[command]
     out = tmp_path / "out"
     path = _write_cfg(tmp_path / "c.yaml", _base_cfg(out, **extra))
-    assert main([command, "--config", path, "--quiet"]) == 0
+    if command == "markov":
+        run = subprocess.run(
+            [sys.executable, "-m", "spde_lab.cli", command, "--config", path, "--quiet"],
+            capture_output=True, text=True, timeout=300, env=_child_env("1"))
+        assert run.returncode == 0, run.stderr
+    else:
+        assert main([command, "--config", path, "--quiet"]) == 0
     digest = hashlib.sha256()
     for rel, blob in _tree_bytes(out).items():
         digest.update(rel.as_posix().encode() + b"\0" + blob)
@@ -408,8 +424,6 @@ print(np.array([[r["mc_var"], r["exact"], r["z_score"]] for r in rows]).tobytes(
 def test_mc_outputs_do_not_depend_on_blas_threads(tmp_path):
     """The per-chunk gemv pairing and point capture give the same bytes under
     one and two OpenBLAS threads (markov does not, see above)."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     results = []
     for threads in ("1", "2"):
         work = tmp_path / threads
@@ -419,8 +433,7 @@ def test_mc_outputs_do_not_depend_on_blas_threads(tmp_path):
                        _base_cfg(f"{command}_out", **PINNED_TREES[command][0]))
         run = subprocess.run(
             [sys.executable, "-c", _BLAS_CHILD], cwd=work, capture_output=True,
-            text=True, timeout=300,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath))
+            text=True, timeout=300, env=_child_env(threads))
         assert run.returncode == 0, run.stderr
         results.append((run.stdout, _tree_bytes(work / "covariance_out"),
                         _tree_bytes(work / "sample_out")))

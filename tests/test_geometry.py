@@ -17,6 +17,7 @@ from spde_lab import (
     kernel_eval,
     mc_covariance,
     random_band_limited,
+    region_partition,
     representer,
     spatial_bump,
 )
@@ -108,6 +109,16 @@ def test_geometry_outputs_match_pinned_digests(d, name):
 _LAT2 = _LATTICES[2]
 _MEASURE2 = SpectralMeasure("bessel", 2.5, 2)
 
+# The entry points that take physical points (t, (x...)), each called with one
+# good point and the point p.
+_PHYSICAL = {
+    "covariance_oracle": lambda p: covariance_oracle(_MEASURE2, _LAT2, (0.5, (0.0, 0.0)), p),
+    "assemble_covariance":
+        lambda p: assemble_covariance(_MEASURE2, _LAT2, [(0.5, (0.0, 0.0)), p]),
+    "region_partition": lambda p: region_partition(
+        _LAT2, [(0.5, (0.0, 0.0)), p], ((0.25, 0.75), (1.0, 3.0), (1.0, 5.0)), 1.0),
+}
+
 
 @pytest.mark.parametrize("coords", [(1,), (1, 2, 3)], ids=["short", "long"])
 @pytest.mark.parametrize("entry", [
@@ -115,11 +126,12 @@ _MEASURE2 = SpectralMeasure("bessel", 2.5, 2)
     lambda j: _LAT2.point_phase(j),
     lambda j: heat_column(_LAT2, (1, j)),
     lambda j: mc_covariance(NoiseModel(_MEASURE2, _LAT2), [(1, (0, 0)), (2, j)], 0, 4),
-    lambda j: covariance_oracle(_MEASURE2, _LAT2, (0.5, (0.0, 0.0)), (0.5, j)),
-    lambda j: assemble_covariance(_MEASURE2, _LAT2, [(0.5, (0.0, 0.0)), (0.5, j)]),
+    lambda j: _PHYSICAL["covariance_oracle"]((0.5, j)),
+    lambda j: _PHYSICAL["assemble_covariance"]((0.5, j)),
     lambda j: spatial_bump(_LAT2, j, 1.0),
+    lambda j: _PHYSICAL["region_partition"]((0.5, j)),
 ], ids=["grid_point", "point_phase", "heat_column", "mc_covariance",
-        "covariance_oracle", "assemble_covariance", "spatial_bump"])
+        "covariance_oracle", "assemble_covariance", "spatial_bump", "region_partition"])
 def test_point_entry_points_refuse_wrong_coordinate_count(entry, coords):
     """An index or coordinate list of the wrong length is refused, not
     truncated or padded against the axes."""
@@ -127,18 +139,42 @@ def test_point_entry_points_refuse_wrong_coordinate_count(entry, coords):
         entry(coords)
 
 
-@pytest.mark.parametrize("point", [(2.5, (1, 2)), (2, (1, 1.5)), (2.0, (1, 2))],
-                         ids=["time", "space", "integral_float"])
-@pytest.mark.parametrize("entry", [
+# Every entry point that takes a grid point (m, (j...)).
+_INDEX_ENTRIES = pytest.mark.parametrize("entry", [
     lambda p: _LAT2.grid_point(*p),
     lambda p: heat_column(_LAT2, p),
     lambda p: mc_covariance(NoiseModel(_MEASURE2, _LAT2), [(1, (0, 0)), p], 0, 4),
 ], ids=["grid_point", "heat_column", "mc_covariance"])
+
+
+@pytest.mark.parametrize("point", [(2.5, (1, 2)), (2, (1, 1.5)), (2.0, (1, 2))],
+                         ids=["time", "space", "integral_float"])
+@_INDEX_ENTRIES
 def test_point_entry_points_refuse_non_integer_indices(entry, point):
     """A fractional grid index is refused, not truncated to a neighbouring
     grid point."""
     with pytest.raises(ValueError, match=r"has a non-integer index"):
         entry(point)
+
+
+@pytest.mark.parametrize("m", [-1, _LAT2.n_time + 1], ids=["negative", "after_t_max"])
+@_INDEX_ENTRIES
+def test_point_entry_points_refuse_time_index_off_the_lattice(entry, m):
+    """A time index outside [0, n_time] is refused, not read as a time before
+    0 or after t_max."""
+    with pytest.raises(ValueError, match=rf"grid point \({m}, \(1, 2\)\) has a time index "
+                                         rf"outside \[0, {_LAT2.n_time}\]"):
+        entry((m, (1, 2)))
+
+
+@pytest.mark.parametrize("t", [-0.25, _LAT2.t_max + 0.25, float("nan")],
+                         ids=["negative", "after_t_max", "nan"])
+@pytest.mark.parametrize("entry", list(_PHYSICAL.values()), ids=list(_PHYSICAL))
+def test_physical_point_entry_points_refuse_a_time_off_the_lattice(entry, t):
+    """A time outside [0, t_max], or NaN, is refused by the one physical-point
+    check."""
+    with pytest.raises(ValueError, match=r"has a time outside \[0, 1.0\]"):
+        entry((t, (1.0, 2.0)))
 
 
 def test_point_phase_refuses_non_integer_space_index():

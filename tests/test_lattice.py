@@ -9,18 +9,28 @@ import pytest
 
 from spde_lab import (
     Field,
+    NoiseModel,
     Representation,
     SpaceTimeLattice,
     SpectralMeasure,
+    apply_multiplier,
+    bessel_potential,
+    element_from_h,
     forward_transform,
     inner0,
     inverse_transform,
+    krylov_norm,
     l2_inner,
     l2_norm,
+    mc_isometry_batch,
+    mc_representer_field,
     norm0,
     random_band_limited,
     read_field,
     refine_field,
+    representer,
+    solve_backward,
+    solve_forward,
     spatial_bump,
     write_field,
 )
@@ -78,6 +88,45 @@ def test_transform_round_trip_is_exact():
     f = random_band_limited(lat, rng)
     back = inverse_transform(forward_transform(f))
     np.testing.assert_allclose(back.values, f.values, atol=1e-13)
+
+
+def test_transforms_return_a_field_already_in_their_target_representation():
+    f = random_band_limited(_lat(n=16, nt=8), np.random.default_rng(0))
+    F = forward_transform(f)
+    assert forward_transform(F) is F and inverse_transform(f) is f
+
+
+_REP_LAT = _lat(n=16, nt=8)
+_REP_MEASURE = SpectralMeasure("bessel", 2.0, 1)
+_REP_PSI = random_band_limited(_REP_LAT, np.random.default_rng(11))
+
+
+# (entry, exact): an exact entry transforms its input forward and no further,
+# so a frequency input changes no byte; the others run a transform round trip
+# on one of the two inputs and agree to round-off.
+@pytest.mark.parametrize("entry, exact", [
+    (lambda f: [[r["mc_var"], r["exact"]] for r in mc_isometry_batch(
+        NoiseModel(_REP_MEASURE, _REP_LAT), [f, _REP_PSI], 3, 16)], True),
+    (lambda f: mc_representer_field(NoiseModel(_REP_MEASURE, _REP_LAT), f, 3, 16)["estimate"],
+     True),
+    (lambda f: inner0(f, _REP_PSI, _REP_MEASURE), True),
+    (lambda f: l2_inner(f, _REP_PSI), False),
+    (lambda f: solve_forward(f).values, True),
+    (lambda f: solve_backward(f).values, True),
+    (lambda f: inverse_transform(apply_multiplier(f, bessel_potential(2.0))).values, True),
+    (lambda f: refine_field(f).values, True),
+    (lambda f: element_from_h(f, _REP_MEASURE).phi.values, True),
+    (lambda f: krylov_norm(representer(f, _REP_MEASURE)), False),
+], ids=["mc_isometry_batch", "mc_representer_field", "inner0", "l2_inner", "solve_forward",
+        "solve_backward", "apply_multiplier", "refine_field", "element_from_h",
+        "krylov_norm_of_representer"])
+def test_entry_points_accept_either_representation(entry, exact):
+    phi = random_band_limited(_REP_LAT, np.random.default_rng(5))
+    a, b = (np.asarray(entry(f)) for f in (phi, forward_transform(phi)))
+    if exact:
+        assert a.tobytes() == b.tobytes()
+    else:
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
 
 
 def test_parseval_identity():
@@ -188,6 +237,18 @@ def test_field_container_round_trip(tmp_path):
     assert g.lattice == lat
     assert g.space_time == f.space_time and g.representation is f.representation
     np.testing.assert_array_equal(g.values, f.values)
+
+
+def test_field_container_rewrite_keeps_bytes(tmp_path):
+    """write -> decode -> write gives the same bytes, -0.0 included (the t = 0
+    slice of this field holds -0.0)."""
+    f = random_band_limited(SpaceTimeLattice(2, (4.0, 2.0), (8, 4), 1.0, 3),
+                            np.random.default_rng(7))
+    blob = write_field(f, tmp_path / "f.fld")
+    g = decode_field(blob)
+    assert np.signbit(f.values.real).tobytes() == np.signbit(g.values.real).tobytes()
+    assert write_field(g, tmp_path / "g.fld") == blob
+    g.values[0, 0, 0] = 1.0  # decoded values are a writable copy
 
 
 def test_field_container_rejects_bad_magic(tmp_path):

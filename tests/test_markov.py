@@ -99,6 +99,8 @@ def test_assemble_point_budget_and_horizon():
     m = SpectralMeasure("white", 1.0, 1)
     with pytest.raises(ValueError):
         assemble_covariance(m, lat, [(0.5, (0.0,))] * 4097)
+    with pytest.raises(ValueError, match="needs 1 to 4096 points, got 0"):
+        assemble_covariance(m, lat, [])
     with pytest.raises(ValueError):
         assemble_covariance(m, lat, [(1.5, (0.0,))])
 

@@ -12,6 +12,7 @@ from spde_lab import (
     SpectralMeasure,
     duality_check,
     element_from_h,
+    forward_transform,
     heat_column,
     inner0,
     krylov_norm,
@@ -84,6 +85,19 @@ def test_probe_check_transforms_each_field_once(monkeypatch):
     elem = representer(phi, measure, check=True)
     assert sum(forward) <= 11
     assert elem.probe_report["max_rel_err"] <= 1e-8
+
+
+@pytest.mark.parametrize("check", [False, True], ids=["unchecked", "checked"])
+@pytest.mark.parametrize("to_rep", [lambda f: f, forward_transform],
+                         ids=["physical", "frequency"])
+def test_representer_refuses_a_complex_test_field(to_rep, check):
+    """The physical values must be real whatever representation phi comes in."""
+    lat = _lat(n=16, nt=8)
+    rng = np.random.default_rng(2)
+    phi = Field(lat, Representation.PHYSICAL, random_band_limited(lat, rng).values
+                + 1j * random_band_limited(lat, rng).values)
+    with pytest.raises(ValueError, match="test field must be real"):
+        representer(to_rep(phi), SpectralMeasure("bessel", 2.0, 1), check=check)
 
 
 def test_representer_linear():
