@@ -24,8 +24,7 @@ from .fracops import (bessel_potential, laplacian_power, localization_check,
 from .pde import (BumpSpec, fourier_bound_check, riemann_convergence_study,
                   solve_backward, solve_forward)
 from .simulate import (NoiseModel, PathEnsemble, RNG_ID, mc_covariance,
-                       mc_isometry_batch, mc_representer_field,
-                       sample_noise_increment, simulate_u, spectral_amplitudes)
+                       mc_isometry_batch, mc_representer_field, simulate_u)
 from .rkhs import (RkhsElement, duality_check, element_from_h, heat_column,
                    krylov_norm, markov_guarantee, norm_equivalence_study,
                    representer, rkhs_inner)
@@ -52,8 +51,7 @@ __all__ = [
     "q_exponent", "mixed_time_space_norm",
     "BumpSpec", "solve_forward", "solve_backward",
     "fourier_bound_check", "riemann_convergence_study",
-    "NoiseModel", "PathEnsemble", "RNG_ID", "simulate_u",
-    "sample_noise_increment", "spectral_amplitudes", "mc_isometry_batch",
+    "NoiseModel", "PathEnsemble", "RNG_ID", "simulate_u", "mc_isometry_batch",
     "mc_representer_field", "mc_covariance",
     "RkhsElement", "representer", "element_from_h", "heat_column",
     "rkhs_inner", "duality_check", "krylov_norm",

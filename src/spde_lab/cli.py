@@ -30,7 +30,7 @@ import yaml
 
 from . import pde, rkhs, markov, simulate, spectral
 from .errors import DalangConditionError, InvariantViolation
-from .lattice import SpaceTimeLattice, random_band_limited
+from .lattice import SpaceTimeLattice, _is_power_of_two, random_band_limited
 from .spectral import Family, SpectralMeasure
 
 
@@ -76,7 +76,7 @@ def _at_least(low: int) -> tuple:
 
 
 _POSITIVE = ("positive", lambda v: v > 0)
-_POWER_OF_TWO = ("a power of two", lambda v: v > 0 and v & (v - 1) == 0)
+_POWER_OF_TWO = ("a power of two", _is_power_of_two)
 # the Philox key is two unsigned 64-bit words
 _SEED = ("in [0, 2^64)", lambda v: 0 <= v < 2 ** 64)
 

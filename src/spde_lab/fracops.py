@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import Field, apply_multiplier, inverse_transform, l2_norm
+from .rkhs import markov_guarantee
 from .spectral import Family, SpectralMeasure
 from .bumps import support_mask
 
@@ -68,18 +69,18 @@ def remove_mean(f: Field) -> Field:
 def operator_J(phi: Field, m: SpectralMeasure) -> Field:
     """The unitary J from the Riesz covariance pairing into space-time L2.
 
-    Requires a Riesz measure with alpha = 4k.  A non-formal Riesz measure has
-    alpha < dim, so it meets the Sobolev-embedding constraint 2 < dim/(2k); a
-    formal one (``m.formal``) is symbol-level use on a low-dimensional lattice.
+    Requires a Riesz measure with alpha = 4k, k >= 1 (``markov_guarantee``).
+    A non-formal Riesz measure has alpha < dim, so it meets the
+    Sobolev-embedding constraint 2 < dim/(2k); a formal one (``m.formal``)
+    is symbol-level use on a low-dimensional lattice.
     F(J phi) = |xi|^(-2k) F(phi); the zero mode is annihilated, matching the
     zero-mode convention of the pairing.
     """
     if m.family is not Family.RIESZ:
         raise ValueError("operator_J is defined for Riesz measures only")
-    k4 = m.alpha / 4.0
-    if abs(k4 - round(k4)) > 1e-12 or round(k4) < 1:
+    if not markov_guarantee(m):
         raise ValueError(f"operator_J requires alpha = 4k for integer k >= 1, got alpha={m.alpha}")
-    return apply_multiplier(phi, riesz_potential(2 * round(k4)))
+    return apply_multiplier(phi, riesz_potential(2 * round(m.alpha / 4)))
 
 
 def localization_check(kappa: Field, chi: Field, k: int) -> dict:

@@ -243,16 +243,25 @@ class SpaceTimeLattice:
         )
 
 
+def _length(x) -> int:
+    """len(x), or -1 for an object without one, such as a bare number."""
+    try:
+        return len(x)
+    except TypeError:
+        return -1
+
+
 def _physical_points(lattice: SpaceTimeLattice, points) -> tuple:
     """Times (P,) and coordinates (P, dim) of physical points (t, (x...)).
 
-    Refuses the first point without one coordinate per axis, or whose time
-    is not in [0, t_max] (NaN included)."""
+    Refuses the first point without a sequence of one coordinate per axis,
+    or whose time is not in [0, t_max] (NaN included)."""
     times, coords = tuple(zip(*points)) or ((), ())
-    counts = np.fromiter(map(len, coords), int, len(coords))
+    counts = np.fromiter(map(_length, coords), int, len(coords))
     if (bad := np.flatnonzero(counts != lattice.dim)).size:
         i = bad[0]
-        raise ValueError(f"point {(times[i], coords[i])} has {counts[i]} coordinates "
+        what = f"{counts[i]} coordinates" if counts[i] >= 0 else "no coordinate sequence"
+        raise ValueError(f"point {(times[i], coords[i])} has {what} "
                          f"for a {lattice.dim}-D lattice")
     t = np.array(times, dtype=float)
     if (bad := np.flatnonzero(~((t >= 0.0) & (t <= lattice.t_max)))).size:
@@ -453,8 +462,7 @@ def refine_field(f: Field) -> Field:
     padded[(slice(None),) + np.ix_(*dest)] = forward_transform(f).values
     spatial = spectral_transform(padded, fine, inverse=True)
     # linear time interpolation onto the refined slices
-    t_coarse = np.arange(lat.n_time + 1) * lat.dt
-    t_fine = np.arange(fine.n_time + 1) * fine.dt
+    t_coarse, t_fine = lat.times(), fine.times()
     idx = np.minimum((t_fine / lat.dt).astype(int), lat.n_time - 1)
     frac = (t_fine - t_coarse[idx]) / lat.dt
     shape = (-1,) + (1,) * lat.dim

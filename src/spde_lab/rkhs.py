@@ -36,15 +36,13 @@ from .spectral import Family, SpectralMeasure
 
 
 def markov_guarantee(measure: SpectralMeasure) -> bool:
-    """True when the measure's Dirichlet form is a local differential operator."""
-    a = measure.alpha
-    if measure.family is Family.WHITE:
-        return True
-    if measure.family is Family.BESSEL:
-        return a > 0 and abs(a / 2 - round(a / 2)) < 1e-12
-    if measure.family is Family.RIESZ:
-        return a > 0 and abs(a / 4 - round(a / 4)) < 1e-12
-    return False
+    """True when the measure's Dirichlet form is a local differential operator:
+    white noise, Bessel alpha = 2k or Riesz alpha = 4k for an integer k >= 1."""
+    step = {Family.BESSEL: 2, Family.RIESZ: 4}.get(measure.family)
+    if step is None:
+        return measure.family is Family.WHITE
+    k = measure.alpha / step
+    return round(k) >= 1 and abs(k - round(k)) < 1e-12
 
 
 @dataclass
@@ -187,14 +185,11 @@ def heat_column(lattice: SpaceTimeLattice, point,
         weight = lattice.loading
     else:
         weight = np.sqrt(lattice.variance_weight / lattice.dt)
-    phase = np.conj(lattice.point_phase(idx))
     c_d = (2.0 * np.pi) ** (-lattice.dim / 2.0)
+    impulse = np.zeros((1, lattice.n_time) + lattice.n_space, dtype=np.complex128)
+    impulse[0, 0] = c_d * np.conj(lattice.point_phase(idx)) * weight
     F = np.zeros(lattice.shape, dtype=np.complex128)
-    if m > 0:
-        # decay powers a^(m-1-k) for k = 0..m-1, computed by backward recursion
-        F[m - 1] = c_d * phase * weight
-        for k in range(m - 2, -1, -1):
-            F[k] = lattice.decay * F[k + 1]
+    F[:m] = lattice.march(impulse)[0, m:0:-1]  # a^(m-1-k) times the impulse, k < m
     return inverse_transform(Field(lattice, Representation.FREQUENCY, F))
 
 

@@ -43,8 +43,7 @@ import numpy as np
 
 from .errors import DalangConditionError
 from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
-                      decode_field, forward_transform, inverse_transform, norm0,
-                      write_field)
+                      decode_field, forward_transform, norm0, write_field)
 from .spectral import SpectralMeasure, dalang_condition
 
 STEP_BLOCK = 1 << 24
@@ -61,14 +60,6 @@ def _unit_fields(lat: SpaceTimeLattice, e: np.ndarray) -> np.ndarray:
     z = np.fft.fftn(e, axes=tuple(range(e.ndim - lat.dim, e.ndim)))
     z /= math.sqrt(math.prod(lat.n_space))
     return z
-
-
-def _check_key(name: str, value, stop: int | None = None) -> None:
-    """Refuse a draw key (seed, path or step) that is not an integer in
-    [0, stop), by default Philox's key range [0, 2^64)."""
-    if not isinstance(value, Integral) or not 0 <= value < (stop or 1 << 64):
-        raise ValueError(f"{name} must be an integer in [0, {stop or '2^64'}), "
-                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +123,7 @@ class NoiseModel:
 
         Re-keying the one Philox to key [seed, path], counter step*STEP_BLOCK,
         gives the numbers of a fresh Philox(key) advanced by step*STEP_BLOCK.
-        The keys are not checked here: callers check them once per call.
+        The keys are not checked here: ``_ou_chunks`` checks them once per call.
         """
         state = self._rng_state
         state["state"] = {"counter": (step * STEP_BLOCK, 0, 0, 0), "key": (seed, path)}
@@ -140,36 +131,24 @@ class NoiseModel:
         return self._rng.standard_normal((2,) + self.lattice.n_space, out=out)
 
 
-def sample_noise_increment(model: NoiseModel, seed: int, path: int, step: int) -> Field:
-    """Physical-space noise increment W(t_{k+1}) - W(t_k) as a space-only field,
-    synthesized as (2 pi)^(-d/2) sum_xi eta_k(xi) exp(i xi x)."""
-    lat = model.lattice
-    _check_key("seed", seed)
-    _check_key("path", path)
-    _check_key("step", step, lat.n_time)
-    eta = model.increment_scale * _unit_fields(lat, model.unit_pair(seed, path, step))[0]
-    return inverse_transform(Field(lat, Representation.FREQUENCY, eta / lat.freq_cell_volume))
+def _ou_chunks(model: NoiseModel, seed: int, n_paths: int):
+    """Draw paths 0 .. n_paths-1 a chunk at a time, yielding (chunk, eta, eps).
 
-
-def _ou_chunks(model: NoiseModel, seed: int, paths: range):
-    """Draw ``paths`` a chunk at a time, yielding (chunk, eta, eps).
-
-    ``chunk`` is a sub-range of ``paths``, eta_k(xi) is (c, n_time, N) and
+    ``chunk`` is a range of paths, eta_k(xi) is (c, n_time, N) and
     eps_k(xi) is (c, n_time)+n_space; ``lattice.march(eps)`` gives u^(t_k, xi).
     Values do not depend on the chunking: each (path, step) draws one unit pair.
-    The seed and paths are checked here, before anything is drawn.
+    The seed (half of the Philox key) and ``n_paths`` are checked here,
+    before anything is drawn.
     """
-    _check_key("seed", seed)
-    if paths.stop < paths.start:
-        raise ValueError(f"n_paths must be >= 0, got {paths.stop - paths.start}")
-    if paths:
-        _check_key("path", paths[0])
-        _check_key("path", paths[-1])
+    if not isinstance(seed, Integral) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     lat = model.lattice
     size = max(1, CHUNK_BYTES // (lat.n_time * 2 * math.prod(lat.n_space) * 16))
-    raw = np.empty((min(size, len(paths)), lat.n_time, 2) + lat.n_space)
-    return (_ou_chunk(model, seed, paths[start:start + size], raw)
-            for start in range(0, len(paths), size))
+    raw = np.empty((min(size, n_paths), lat.n_time, 2) + lat.n_space)
+    return (_ou_chunk(model, seed, range(start, min(start + size, n_paths)), raw)
+            for start in range(0, n_paths, size))
 
 
 def _ou_chunk(model: NoiseModel, seed: int, chunk: range, raw: np.ndarray) -> tuple:
@@ -231,12 +210,6 @@ def _integration_transforms(lat: SpaceTimeLattice, phis) -> np.ndarray:
             raise ValueError("test field lives on a different lattice")
     return np.stack([forward_transform(phi).values[:lat.n_time].reshape(
         lat.n_time, -1) for phi in phis])
-
-
-def spectral_amplitudes(model: NoiseModel, seed: int, path: int) -> np.ndarray:
-    """One path of solution amplitudes u^(t_k, xi), shape (n_time+1,)+n_space."""
-    _, _, eps = next(_ou_chunks(model, seed, range(path, path + 1)))
-    return model.lattice.march(eps)[0]
 
 
 def _amplitudes_to_physical(lat: SpaceTimeLattice, amps: np.ndarray) -> np.ndarray:
@@ -331,7 +304,7 @@ def simulate_u(measure: SpectralMeasure, lattice: SpaceTimeLattice, seed: int,
                n_paths: int) -> PathEnsemble:
     """Sample ``n_paths`` exact-in-law solution paths from zero initial data."""
     model = NoiseModel(measure, lattice)
-    chunks = _ou_chunks(model, seed, range(n_paths))
+    chunks = _ou_chunks(model, seed, n_paths)
     values = np.zeros((n_paths,) + lattice.shape)
     for chunk, _, eps in chunks:
         values[chunk.start:chunk.stop] = _amplitudes_to_physical(lattice, lattice.march(eps))
@@ -356,7 +329,7 @@ def mc_isometry_batch(model: NoiseModel, phis, seed: int, n_paths: int) -> list:
         raise ValueError("phis is empty: need at least one test field")
     FF = _integration_transforms(model.lattice, phis)
     samples = np.concatenate([_pathwise_integrals(FF, eta) for _, eta, _
-                              in _ou_chunks(model, seed, range(n_paths))])
+                              in _ou_chunks(model, seed, n_paths)])
     rows = []
     for j, phi in enumerate(phis):
         exact = norm0(phi, model.measure) ** 2
@@ -380,7 +353,7 @@ def mc_representer_field(model: NoiseModel, phi: Field, seed: int,
     F = _integration_transforms(lat, [phi])[0]
 
     def products():
-        for _, eta, eps in _ou_chunks(model, seed, range(n_paths)):
+        for _, eta, eps in _ou_chunks(model, seed, n_paths):
             M = sum(np.sum(F[k] * np.conj(eta[:, k]), axis=-1) for k in range(lat.n_time))
             yield (M.real.reshape((-1,) + (1,) * (lat.dim + 1))
                    * _amplitudes_to_physical(lat, lat.march(eps)))
@@ -406,7 +379,7 @@ def mc_covariance(model: NoiseModel, points, seed: int, n_paths: int) -> dict:
     c_d = (2.0 * np.pi) ** (-lat.dim / 2.0)
 
     def products():
-        for chunk, _, eps in _ou_chunks(model, seed, range(n_paths)):
+        for chunk, _, eps in _ou_chunks(model, seed, n_paths):
             amps = lat.march(eps).reshape(len(chunk), lat.n_time + 1, -1)
             us = np.zeros((len(chunk), len(points)))  # points at t = 0 keep u = 0
             for m, rows, ph in rows_at:

@@ -177,6 +177,14 @@ def test_physical_point_entry_points_refuse_a_time_off_the_lattice(entry, t):
         entry((t, (1.0, 2.0)))
 
 
+@pytest.mark.parametrize("entry", list(_PHYSICAL.values()), ids=list(_PHYSICAL))
+def test_physical_point_entry_points_refuse_a_bare_number_coordinate(entry):
+    """A point whose coordinates are one number, not a sequence, is refused
+    by name."""
+    with pytest.raises(ValueError, match=r"point \(0.5, 1.0\) has no coordinate sequence"):
+        entry((0.5, 1.0))
+
+
 def test_point_phase_refuses_non_integer_space_index():
     with pytest.raises(ValueError, match=r"has a non-integer index"):
         _LAT2.point_phase((1, 1.5))

@@ -10,7 +10,7 @@ from spde_lab import (Field, NoiseModel, Representation, SpaceTimeLattice,
                       SpectralMeasure, element_from_h, forward_transform,
                       heat_column, inner0, inverse_transform, l2_inner, l2_norm,
                       mc_representer_field, norm0, representer, simulate_u,
-                      solve_backward, solve_forward, spectral_amplitudes)
+                      solve_backward, solve_forward)
 from spde_lab import simulate
 from spde_lab.lattice import spectral_transform
 
@@ -118,10 +118,9 @@ def test_heat_column_reproduces_representer(lat, family_alpha, seed, data):
 @settings
 @hypothesis.given(lattices(), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_sampler_chunking_changes_no_byte(lat, n_paths, seed):
-    """simulate_u, spectral_amplitudes and mc_representer_field give the same
-    bytes for one path per chunk, a ragged split into chunks of 3 paths, the
-    default chunk and one chunk, and each simulate_u path is the transform of
-    that path's spectral_amplitudes."""
+    """simulate_u and mc_representer_field give the same bytes for one path
+    per chunk, a ragged split into chunks of 3 paths, the default chunk and
+    one chunk."""
     model = NoiseModel(SpectralMeasure("bessel", 2.0, lat.dim), lat)
     phi = _field(lat, np.random.default_rng(seed))
     three_paths = 3 * lat.n_time * 2 * int(np.prod(lat.n_space)) * 16
@@ -129,8 +128,6 @@ def test_sampler_chunking_changes_no_byte(lat, n_paths, seed):
     for chunk_bytes in (1, three_paths, simulate.CHUNK_BYTES, 1 << 24):
         with mock.patch.object(simulate, "CHUNK_BYTES", chunk_bytes):
             paths = simulate_u(model.measure, lat, seed, n_paths).values
-            amps = np.stack([spectral_amplitudes(model, seed, p) for p in range(n_paths)])
             rf = mc_representer_field(model, phi, seed, n_paths)
-        runs.append([a.tobytes() for a in (paths, amps, rf["estimate"], rf["stderr"])])
+        runs.append([a.tobytes() for a in (paths, rf["estimate"], rf["stderr"])])
     assert runs[0] == runs[1] == runs[2] == runs[3]
-    assert runs[0][0] == simulate._amplitudes_to_physical(lat, amps).tobytes()

@@ -24,6 +24,7 @@ from spde_lab import (
     rkhs_inner,
 )
 from spde_lab import rkhs
+from spde_lab.lattice import spectral_transform
 
 
 def _lat(n=32, nt=16, L=2.0 * np.pi, T=1.0):
@@ -162,6 +163,34 @@ def test_heat_column_reproducing_identity():
         assert abs(val - h_val) <= 1e-10 * scale
 
 
+def _recursion_column(lat, m, idx, kind):
+    """Reference column: the per-mode profile a^(m-1-k) by backward recursion."""
+    if kind == "reproducing":
+        weight = lat.loading
+    else:
+        weight = np.sqrt(lat.variance_weight / lat.dt)
+    F = np.zeros(lat.shape, dtype=np.complex128)
+    if m > 0:
+        F[m - 1] = (2.0 * np.pi) ** (-lat.dim / 2.0) * np.conj(lat.point_phase(idx)) * weight
+        for k in range(m - 2, -1, -1):
+            F[k] = lat.decay * F[k + 1]
+    return spectral_transform(F, lat, inverse=True)
+
+
+@pytest.mark.parametrize("lat", [
+    _lat(n=16, nt=12),
+    SpaceTimeLattice(2, (4.0, 6.0), (8, 4), 0.5, 6),
+    SpaceTimeLattice(3, (2.0, 3.0, 4.0), (4, 2, 4), 0.3, 4),
+], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("kind", ["reproducing", "covariance"])
+def test_heat_column_equals_backward_recursion(lat, kind):
+    """The marched column has the reference recursion's bytes at every time."""
+    idx = tuple(n // 2 - 1 for n in lat.n_space)
+    for m in range(lat.n_time + 1):
+        col = heat_column(lat, (m, idx), kind=kind)
+        assert col.values.tobytes() == _recursion_column(lat, m, idx, kind).tobytes()
+
+
 def test_heat_column_covariance_gram():
     """inner0 of two covariance-kind columns equals E u(p) u(q) exactly."""
     from spde_lab.markov import covariance_oracle
@@ -206,6 +235,9 @@ def test_krylov_norm_requires_even_bessel():
         krylov_norm(representer(phi, SpectralMeasure("white", 1.0, 1), check=False))
     with pytest.raises(ValueError):
         krylov_norm(representer(phi, SpectralMeasure("bessel", 1.0, 1), check=False))
+    for family in ("bessel", "riesz"):
+        with pytest.raises(ValueError):
+            krylov_norm(representer(phi, SpectralMeasure(family, 1e-13, 1), check=False))
     val = krylov_norm(representer(phi, SpectralMeasure("bessel", 2.0, 1), check=False))
     assert np.isfinite(val) and val > 0
 
@@ -243,8 +275,10 @@ def test_markov_guarantee_flags():
     assert markov_guarantee(SpectralMeasure("bessel", 4.0, 1))
     assert not markov_guarantee(SpectralMeasure("bessel", 3.0, 1))
     assert not markov_guarantee(SpectralMeasure("bessel", 1.0, 1))
+    assert not markov_guarantee(SpectralMeasure("bessel", 1e-13, 1))  # k = 0
     assert markov_guarantee(SpectralMeasure("riesz", 4.0, 1, formal=True))
     assert not markov_guarantee(SpectralMeasure("riesz", 0.5, 1))
+    assert not markov_guarantee(SpectralMeasure("riesz", 1e-13, 1))  # k = 0
     assert not markov_guarantee(SpectralMeasure("heat_kernel", 1.0, 1))
 
 

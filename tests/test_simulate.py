@@ -9,20 +9,19 @@ import pytest
 
 from spde_lab import (
     DalangConditionError,
+    Field,
     NoiseModel,
     PathEnsemble,
+    Representation,
     SpaceTimeLattice,
     SpectralMeasure,
-    kernel_eval,
     mc_covariance,
     mc_isometry_batch,
     mc_representer_field,
     norm0,
     random_band_limited,
-    sample_noise_increment,
     simulate_u,
     spatial_bump,
-    spectral_amplitudes,
     write_field,
 )
 from spde_lab import simulate
@@ -105,21 +104,6 @@ def test_unit_field_has_unit_mode_variance():
     assert np.max(np.abs(acc - 1.0)) < 5.0 * np.sqrt(2.0 / n)
 
 
-def test_noise_increment_physical_covariance_matches_kernel():
-    """Var of the physical increment at x equals dt * f(0) (matching the
-    covariance kernel of the driving noise) within Monte Carlo error."""
-    model = _model(n=16, nt=4)
-    lat = model.lattice
-    n = 2000
-    vals = np.empty((n, 16))
-    for p in range(n):
-        vals[p] = sample_noise_increment(model, 77, p, 0).values.real
-    var = vals.var(axis=0)
-    f0 = kernel_eval(model.measure, lat).values.real[0]
-    expected = lat.dt * f0
-    assert np.max(np.abs(var - expected)) < 6.0 * expected * np.sqrt(2.0 / n)
-
-
 def test_simulate_paths_start_at_zero_and_are_real():
     ens = simulate_u(SpectralMeasure("bessel", 2.0, 1), _lat(), seed=5, n_paths=3)
     assert ens.values.shape == (3, 17, 32)
@@ -144,8 +128,6 @@ def test_sampler_matches_per_step_reference(lat):
     meas = SpectralMeasure("bessel", 2.0 * lat.dim, lat.dim)
     model = NoiseModel(meas, lat)
     refs = [_reference_amplitudes(model, 42, p) for p in range(5)]
-    for p in (0, 3):
-        assert spectral_amplitudes(model, 42, p).tobytes() == refs[p].tobytes()
     scale = (2.0 * np.pi) ** (-lat.dim / 2.0) * float(np.prod(lat.n_space))
     axes = tuple(range(1, lat.dim + 1))
     phys = [scale * np.real(np.fft.ifftn(r, axes=axes)) for r in refs]
@@ -221,18 +203,12 @@ def test_samplers_draw_one_unit_pair_per_path_and_step(monkeypatch, paths_per_ch
     (lambda m: simulate_u(m.measure, m.lattice, 2**64, 1), "seed"),
     (lambda m: simulate_u(m.measure, m.lattice, 1.5, 1), "seed"),
     (lambda m: simulate_u(m.measure, m.lattice, 0, -1), r"n_paths must be >= 0"),
-    (lambda m: spectral_amplitudes(m, 0, -1), "path"),
-    (lambda m: spectral_amplitudes(m, 0, 2**64), "path"),
     (lambda m: mc_covariance(m, [(4, (3,))], -1, 4), "seed"),
-    (lambda m: sample_noise_increment(m, -1, 0, 0), "seed"),
-    (lambda m: sample_noise_increment(m, 0, -1, 0), "path"),
-    (lambda m: sample_noise_increment(m, 0, 0, 4), "step"),
 ], ids=["seed_negative", "seed_too_large", "seed_float", "n_paths_negative",
-        "path_negative", "path_too_large", "covariance_seed", "increment_seed",
-        "increment_path", "increment_step"])
+        "covariance_seed"])
 def test_bad_draw_keys_rejected(run, message):
-    """A seed, path or step outside the Philox key range is refused by name
-    before anything is drawn, not left to overflow inside the generator."""
+    """A seed outside the Philox key range is refused by name before anything
+    is drawn, not left to overflow inside the generator."""
     with pytest.raises(ValueError, match=rf"^{message}"):
         run(_model(n=16, nt=4))
 
@@ -321,7 +297,7 @@ def test_stochastic_integral_mean_zero_linear():
     phi = random_band_limited(model.lattice, rng)
     FF = simulate._integration_transforms(model.lattice, [phi])
     vals = np.concatenate([simulate._pathwise_integrals(FF, eta) for _, eta, _
-                           in simulate._ou_chunks(model, 31, range(600))])[:, 0]
+                           in simulate._ou_chunks(model, 31, 600)])[:, 0]
     sd = norm0(phi, model.measure)
     assert abs(vals.mean()) < 5.0 * sd / np.sqrt(600)
 
@@ -449,8 +425,8 @@ def test_ensemble_load_rejects_names_outside_its_directory(tmp_path, absolute):
 def test_ensemble_load_rejects_container_of_another_shape(tmp_path):
     """A checksummed space-only container would broadcast over every slice."""
     ens, d = _saved(tmp_path)
-    blob = write_field(sample_noise_increment(NoiseModel(ens.measure, ens.lattice),
-                                              3, 0, 0), d / "path_00000.fld")
+    blob = write_field(Field(ens.lattice, Representation.PHYSICAL, ens.values[0, 1]),
+                       d / "path_00000.fld")
     _edit_manifest(d, lambda m: m["files"][0].update(
         sha256=hashlib.sha256(blob).hexdigest()))
     with pytest.raises(ValueError, match="not a physical space-time field"):
