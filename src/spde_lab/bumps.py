@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Field, Representation, SpaceTimeLattice
+from .lattice import Field, Representation, SpaceTimeLattice, inverse_transform
 
 
 def mollifier(r) -> np.ndarray:
@@ -81,9 +81,28 @@ def radial_cutoff(lattice: SpaceTimeLattice, center, inner_radius: float,
 
 
 def support_mask(f: Field) -> np.ndarray:
-    """Boolean mask where |values| exceeds 1e-12 times the field maximum."""
-    a = np.abs(f.values)
-    scale = float(a.max())
-    if scale == 0.0:
-        return np.zeros_like(a, dtype=bool)
-    return a > 1e-12 * scale
+    """Spatial support of ``f``, shape ``lattice.n_space``: the sites where the
+    physical |value| exceeds 1e-12 times the field maximum in some time slice."""
+    a = np.abs(inverse_transform(f).values)
+    if f.space_time:
+        a = a.max(axis=0)
+    return a > 1e-12 * a.max()
+
+
+def _cutoff_values(chi: Field, f: Field) -> np.ndarray:
+    """Real physical values of a cutoff ``chi`` that is constant on the support of ``f``.
+
+    The locality rule of ``kunsch_decomposition`` and ``localization_check``:
+    chi is space-only, on f's lattice, real, in [0, 1], and 0 or 1 on
+    ``support_mask(f)``, each to 1e-12, so its transition region misses f.
+    """
+    if chi.space_time:
+        raise ValueError("cutoff must be a space-only field")
+    if chi.lattice != f.lattice:
+        raise ValueError("cutoff lives on a different lattice")
+    vals = chi.real_values()
+    if not np.all((vals >= -1e-12) & (vals <= 1 + 1e-12)):
+        raise ValueError("cutoff values must lie in [0, 1]")
+    if np.any((vals > 1e-12) & (vals < 1 - 1e-12) & support_mask(f)):
+        raise ValueError("cutoff transition region overlaps the field support")
+    return vals

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Field, apply_multiplier, inverse_transform, l2_norm
+from .lattice import Field, Representation, apply_multiplier, inverse_transform, l2_norm
 from .rkhs import markov_guarantee
 from .spectral import Family, SpectralMeasure
-from .bumps import support_mask
+from .bumps import _cutoff_values
 
 
 def bessel_potential(gamma: float):
@@ -94,26 +94,21 @@ def localization_check(kappa: Field, chi: Field, k: int) -> dict:
         ||D^(2k)(chi kappa) - chi D^(2k) kappa||_L2 / ||D^(2k) kappa||_L2
 
     is a pure discretization floor that shrinks under refinement.  Raises if
-    the transition region of chi (where it is neither 0 nor 1) overlaps the
-    support of kappa (the identity then has no reason to hold).
+    chi breaks the cutoff rule of ``bumps._cutoff_values``: its transition
+    region (where it is neither 0 nor 1) may not touch the support of kappa,
+    or the identity has no reason to hold.
     """
-    if kappa.lattice != chi.lattice:
-        raise ValueError("kappa and chi live on different lattices")
-    if kappa.space_time or chi.space_time:
+    if kappa.space_time:
         raise ValueError("localization_check expects space-only fields")
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
-    chi_vals = chi.values.real
-    transition = (np.abs(chi_vals) > 1e-12) & (np.abs(chi_vals - 1.0) > 1e-12)
-    kappa_supp = support_mask(kappa)
-    if np.any(transition & kappa_supp):
-        raise ValueError("cutoff transition region overlaps the support of kappa")
+    chi_vals = _cutoff_values(chi, kappa)
+    kappa = inverse_transform(kappa)
+    lat = kappa.lattice
     op = riesz_derivative(2 * k)
     d_kappa = apply_multiplier(kappa, op)
-    prod = Field(kappa.lattice, kappa.representation, chi.values * kappa.values)
-    lhs = apply_multiplier(prod, op)
-    rhs = Field(kappa.lattice, kappa.representation, chi.values * d_kappa.values)
-    diff = Field(kappa.lattice, kappa.representation, lhs.values - rhs.values)
+    lhs = apply_multiplier(Field(lat, Representation.PHYSICAL, chi_vals * kappa.values), op)
+    diff = Field(lat, Representation.PHYSICAL, lhs.values - chi_vals * d_kappa.values)
     denom = l2_norm(d_kappa)
     gap = l2_norm(diff) / denom if denom > 0 else 0.0
     return {"gap": float(gap), "k": int(k), "denom": float(denom)}

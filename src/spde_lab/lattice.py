@@ -300,13 +300,14 @@ class Field:
         return self.values.ndim > self.lattice.dim
 
     def real_values(self) -> np.ndarray:
-        """Real part, asserting the imaginary part is round-off (1e-9 of the
-        largest magnitude)."""
-        scale = float(np.max(np.abs(self.values))) or 1.0
-        worst = float(np.max(np.abs(self.values.imag)))
+        """Real part of the physical values, asserting their imaginary part is
+        round-off (1e-9 of the largest magnitude)."""
+        vals = inverse_transform(self).values
+        scale = float(np.max(np.abs(vals))) or 1.0
+        worst = float(np.max(np.abs(vals.imag)))
         if worst > 1e-9 * scale:
             raise ValueError(f"field is not real: max |imag| = {worst:.3e} (scale {scale:.3e})")
-        return self.values.real.copy()
+        return vals.real.copy()
 
 
 # -- transforms ---------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .bumps import support_mask
+from .bumps import _cutoff_values, support_mask
 from .errors import InvariantViolation
 from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
                       _physical_points, inverse_transform)
@@ -230,27 +230,15 @@ def band_width_study(C: CovarianceMatrix, rect_physical, widths,
 
 
 def _spatial_separation_cells(a: Field, b: Field) -> float:
-    """Minimum toroidal Chebyshev distance (cells) between spatial supports."""
-    lat = a.lattice
-    mask_a = support_mask(inverse_transform(a))
-    mask_b = support_mask(inverse_transform(b))
-    # collapse time: a spatial site is occupied if any time slice uses it
-    if a.space_time:
-        mask_a = mask_a.any(axis=0)
-    if b.space_time:
-        mask_b = mask_b.any(axis=0)
-    coords_a = np.argwhere(mask_a)
-    coords_b = np.argwhere(mask_b)
-    if coords_a.size == 0 or coords_b.size == 0:
-        return math.inf
-    best = math.inf
-    n = np.array(lat.n_space)
-    for chunk_start in range(0, coords_a.shape[0], 512):
-        ca = coords_a[chunk_start:chunk_start + 512]
-        diff = np.abs(ca[:, None, :] - coords_b[None, :, :])
-        diff = np.minimum(diff, n[None, None, :] - diff)
-        best = min(best, float(diff.max(axis=2).min()))
-    return best
+    """Minimum toroidal Chebyshev distance (cells) between spatial supports:
+    the number of periodic one-cell dilations of a's support until it meets b's."""
+    reach, target = support_mask(a), support_mask(b)
+    for sep in range(max(reach.shape) // 2 + 1):  # no torus distance exceeds n // 2
+        if np.any(reach & target):
+            return float(sep)
+        for ax in range(reach.ndim):
+            reach = reach | np.roll(reach, 1, ax) | np.roll(reach, -1, ax)
+    return math.inf
 
 
 def kunsch_orthogonality(measure: SpectralMeasure, h_bump: Field,
@@ -290,18 +278,8 @@ def kunsch_decomposition(measure: SpectralMeasure, zeta: RkhsElement,
     | ||zeta||^2 - ||h||^2 - ||g||^2 | / ||zeta||^2, and the even-order
     parabolic norm of the cut part (finite by construction).
     """
-    if chi.space_time:
-        raise ValueError("cutoff must be a space-only field")
-    if chi.lattice != zeta.h.lattice:
-        raise ValueError("cutoff lives on a different lattice")
-    chi_vals = chi.real_values()
-    if chi_vals.min() < -1e-12 or chi_vals.max() > 1 + 1e-12:
-        raise ValueError("cutoff values must lie in [0, 1]")
+    chi_vals = _cutoff_values(chi, zeta.h)
     zeta_h = inverse_transform(zeta.h)
-    transition = (chi_vals > 1e-9) & (chi_vals < 1 - 1e-9)
-    occupied = support_mask(zeta_h).any(axis=0)
-    if np.any(transition & occupied):
-        raise ValueError("cutoff transition region overlaps the field support")
     lat = zeta_h.lattice
     h_vals = zeta_h.values * chi_vals[None]
     h_part = Field(lat, Representation.PHYSICAL, h_vals)

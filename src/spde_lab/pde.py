@@ -206,6 +206,5 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
         "rows": rows,
         "monotone": bool(all(b < a for a, b in zip(errs, errs[1:]))),
         "min_observed_order": float(np.nanmin([r["observed_order"] for r in rows])),
-        "coarse_to_fine_ratio": float(errs[0] / errs[-1]) if errs[-1] > 0 else float("inf"),
         "reference": {"n_space": n_ref, "n_time": n_ref},
     }

@@ -140,8 +140,10 @@ def _ou_chunks(model: NoiseModel, seed: int, n_paths: int):
     The seed (half of the Philox key) and ``n_paths`` are checked here,
     before anything is drawn.
     """
-    if not isinstance(seed, Integral) or not 0 <= seed < 1 << 64:
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if isinstance(n_paths, bool) or not isinstance(n_paths, Integral):
+        raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     lat = model.lattice

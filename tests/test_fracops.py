@@ -19,6 +19,7 @@ from spde_lab import (
     norm0,
     operator_J,
     q_exponent,
+    radial_cutoff,
     random_band_limited,
     remove_mean,
     riesz_derivative,
@@ -134,7 +135,6 @@ def test_localization_gap_small_and_halving():
         mu = spatial_bump(lat, (2.0,), (0.5,))
         nu = spatial_bump(lat, (6.0,), (0.5,), amplitude=0.7)
         kappa = Field(lat, mu.representation, mu.values + nu.values)
-        from spde_lab import radial_cutoff
         chi = radial_cutoff(lat, (2.0,), 1.2, 2.2)
         gaps.append(localization_check(kappa, chi, k=1)["gap"])
     assert gaps[0] < 5e-4
@@ -152,10 +152,36 @@ def test_localization_chi_identically_one_gives_zero():
 def test_localization_rejects_overlapping_transition():
     lat = SpaceTimeLattice(1, (8.0,), (128,), 1.0, 4)
     kappa = spatial_bump(lat, (2.0,), (1.5,))
-    from spde_lab import radial_cutoff
     chi = radial_cutoff(lat, (2.0,), 0.5, 1.0)  # transition inside supp kappa
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cutoff transition region overlaps the field support"):
         localization_check(kappa, chi, k=1)
+
+
+def _with_far_value(chi, value):
+    """chi with ``value`` at x = 4.5, where chi and kappa below are both 0."""
+    vals = chi.values.copy()
+    vals[72] = value
+    return Field(chi.lattice, chi.representation, vals)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda chi: radial_cutoff(SpaceTimeLattice(1, (8.0,), (64,), 1.0, 4), (2.0,), 1.2, 2.2),
+     "cutoff lives on a different lattice"),
+    (lambda chi: Field(chi.lattice, Representation.PHYSICAL, np.ones(chi.lattice.shape)),
+     "cutoff must be a space-only field"),
+    (lambda chi: _with_far_value(chi, 1.5), r"cutoff values must lie in \[0, 1\]"),
+    (lambda chi: _with_far_value(chi, -0.5), r"cutoff values must lie in \[0, 1\]"),
+    (lambda chi: _with_far_value(chi, np.nan), r"cutoff values must lie in \[0, 1\]"),
+    (lambda chi: _with_far_value(chi, 0.5j), "field is not real"),
+], ids=["other_lattice", "space_time", "above_one", "below_zero", "nan", "complex"])
+def test_localization_refuses_a_bad_cutoff(bad, message):
+    """The cutoff rule holds away from the support too: chi is real and in [0, 1]."""
+    lat = SpaceTimeLattice(1, (8.0,), (128,), 1.0, 4)
+    kappa = spatial_bump(lat, (2.0,), (0.5,))
+    chi = radial_cutoff(lat, (2.0,), 1.2, 2.2)
+    localization_check(kappa, chi, k=1)
+    with pytest.raises(ValueError, match=message):
+        localization_check(kappa, bad(chi), k=1)
 
 
 def test_q_exponent():

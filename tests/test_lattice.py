@@ -1,12 +1,14 @@
 """Lattice, fields, transforms, and the covariance pairing."""
 
 import hashlib
+import inspect
 import itertools
 import struct
 
 import numpy as np
 import pytest
 
+import spde_lab
 from spde_lab import (
     Field,
     NoiseModel,
@@ -15,23 +17,34 @@ from spde_lab import (
     SpectralMeasure,
     apply_multiplier,
     bessel_potential,
+    duality_check,
     element_from_h,
     forward_transform,
+    fourier_bound_check,
     inner0,
     inverse_transform,
     krylov_norm,
+    kunsch_decomposition,
+    kunsch_orthogonality,
     l2_inner,
     l2_norm,
+    localization_check,
     mc_isometry_batch,
     mc_representer_field,
+    mixed_time_space_norm,
     norm0,
+    operator_J,
+    radial_cutoff,
     random_band_limited,
     read_field,
     refine_field,
+    remove_mean,
     representer,
     solve_backward,
     solve_forward,
+    space_time_bump,
     spatial_bump,
+    support_mask,
     write_field,
 )
 from spde_lab.lattice import decode_field
@@ -98,35 +111,98 @@ def test_transforms_return_a_field_already_in_their_target_representation():
 
 _REP_LAT = _lat(n=16, nt=8)
 _REP_MEASURE = SpectralMeasure("bessel", 2.0, 1)
+_REP_PHI = random_band_limited(_REP_LAT, np.random.default_rng(5))
 _REP_PSI = random_band_limited(_REP_LAT, np.random.default_rng(11))
+_RIESZ4 = SpectralMeasure("riesz", 4.0, 1, formal=True)
+# locality geometries: two bumps 0.4 L apart with a cutoff that is 1 on the
+# first and 0 on the second (as in criteria c07 and c10)
+_KUNSCH_LAT = SpaceTimeLattice(1, (16.0,), (64,), 0.5, 16)
+_H_BUMP, _G_BUMP = (space_time_bump(_KUNSCH_LAT, 0.25, 0.15, (c,), (1.28,), amplitude=amp)
+                    for c, amp in ((4.8, 1.0), (11.2, 0.7)))
+_KUNSCH_ZETA = element_from_h(
+    Field(_KUNSCH_LAT, Representation.PHYSICAL, _H_BUMP.values + _G_BUMP.values), _REP_MEASURE)
+_KUNSCH_CHI = radial_cutoff(_KUNSCH_LAT, (4.8,), 2.0, 4.0)
+_LOC_LAT = SpaceTimeLattice(1, (8.0,), (128,), 1.0, 4)
+_LOC_KAPPA = Field(_LOC_LAT, Representation.PHYSICAL,
+                   spatial_bump(_LOC_LAT, (2.0,), (0.5,)).values
+                   + spatial_bump(_LOC_LAT, (6.0,), (0.5,), amplitude=0.7).values)
+_LOC_CHI = radial_cutoff(_LOC_LAT, (2.0,), 1.2, 2.2)
+_ETA_LAT = SpaceTimeLattice(1, (8.0,), (32,), 1.0, 32)
+_ETA = space_time_bump(_ETA_LAT, 0.5, 0.15, (4.0,), (1.0,))
+
+# How the two runs of a case must agree.  EXACT: the entry transforms its
+# input forward and no further, so a frequency input changes no byte.  In the
+# other cases one run passes a transform round trip, which moves the result
+# by round-off: RELATIVE for a scalar, ABSOLUTE for a relative statistic or
+# an O(1) field, which a round trip moves by ~1e-15.
+EXACT, RELATIVE, ABSOLUTE = None, dict(rtol=1e-12, atol=0), dict(rtol=0, atol=1e-13)
+
+# (id, entry, agreement): entry(to) calls one public function with ``to``
+# applied to a physical input, once with to = inverse_transform (the input as
+# it is) and once with to = forward_transform.  An id names the function, with
+# a "-argument" suffix when a case covers one of several Field arguments.
+_EITHER_REPRESENTATION = [
+    ("mc_isometry_batch", lambda to: [[r["mc_var"], r["exact"]] for r in mc_isometry_batch(
+        NoiseModel(_REP_MEASURE, _REP_LAT), [to(_REP_PHI), _REP_PSI], 3, 16)], EXACT),
+    ("mc_representer_field", lambda to: mc_representer_field(
+        NoiseModel(_REP_MEASURE, _REP_LAT), to(_REP_PHI), 3, 16)["estimate"], EXACT),
+    ("inner0", lambda to: inner0(to(_REP_PHI), _REP_PSI, _REP_MEASURE), EXACT),
+    ("l2_inner", lambda to: l2_inner(to(_REP_PHI), _REP_PSI), RELATIVE),
+    ("solve_forward", lambda to: solve_forward(to(_REP_PHI)).values, EXACT),
+    ("solve_backward", lambda to: solve_backward(to(_REP_PHI)).values, EXACT),
+    ("apply_multiplier", lambda to: inverse_transform(
+        apply_multiplier(to(_REP_PHI), bessel_potential(2.0))).values, EXACT),
+    ("refine_field", lambda to: refine_field(to(_REP_PHI)).values, EXACT),
+    ("element_from_h", lambda to: element_from_h(to(_REP_PHI), _REP_MEASURE).phi.values, EXACT),
+    ("krylov_norm_of_representer", lambda to: krylov_norm(
+        representer(to(_REP_PHI), _REP_MEASURE)), RELATIVE),
+    ("representer", lambda to: representer(to(_REP_PHI), _REP_MEASURE).h.values, ABSOLUTE),
+    ("norm0", lambda to: norm0(to(_REP_PHI), _REP_MEASURE), EXACT),
+    ("l2_norm", lambda to: l2_norm(to(_REP_PHI)), RELATIVE),
+    ("operator_J", lambda to: inverse_transform(operator_J(to(_REP_PHI), _RIESZ4)).values,
+     EXACT),
+    ("remove_mean", lambda to: inverse_transform(remove_mean(to(_REP_PHI))).values, EXACT),
+    ("mixed_time_space_norm", lambda to: mixed_time_space_norm(to(_REP_PHI), 3.0), RELATIVE),
+    ("fourier_bound_check", lambda to: [
+        (r := fourier_bound_check(to(_ETA)))["n_hat"], r["n_hat_refined"]], EXACT),
+    ("duality_check", lambda to: [(r := duality_check(
+        representer(_REP_PSI, _REP_MEASURE), to(_REP_PHI)))["lhs"], r["rhs"]], RELATIVE),
+    ("kunsch_orthogonality", lambda to: [(r := kunsch_orthogonality(
+        _REP_MEASURE, to(_H_BUMP), _G_BUMP))["normalized_inner"], r["separation_cells"]],
+     EXACT),
+    ("kunsch_decomposition", lambda to: [(r := kunsch_decomposition(
+        _REP_MEASURE, _KUNSCH_ZETA, to(_KUNSCH_CHI)))["residual"], r["cross_normalized"]],
+     ABSOLUTE),
+    ("localization_check-kappa", lambda to: localization_check(
+        to(_LOC_KAPPA), _LOC_CHI, 1)["gap"], ABSOLUTE),
+    ("localization_check-chi", lambda to: localization_check(
+        _LOC_KAPPA, to(_LOC_CHI), 1)["gap"], ABSOLUTE),
+    ("support_mask", lambda to: support_mask(to(_H_BUMP)), EXACT),
+    ("Field.real_values", lambda to: to(_REP_PHI).real_values(), ABSOLUTE),
+]
 
 
-# (entry, exact): an exact entry transforms its input forward and no further,
-# so a frequency input changes no byte; the others run a transform round trip
-# on one of the two inputs and agree to round-off.
-@pytest.mark.parametrize("entry, exact", [
-    (lambda f: [[r["mc_var"], r["exact"]] for r in mc_isometry_batch(
-        NoiseModel(_REP_MEASURE, _REP_LAT), [f, _REP_PSI], 3, 16)], True),
-    (lambda f: mc_representer_field(NoiseModel(_REP_MEASURE, _REP_LAT), f, 3, 16)["estimate"],
-     True),
-    (lambda f: inner0(f, _REP_PSI, _REP_MEASURE), True),
-    (lambda f: l2_inner(f, _REP_PSI), False),
-    (lambda f: solve_forward(f).values, True),
-    (lambda f: solve_backward(f).values, True),
-    (lambda f: inverse_transform(apply_multiplier(f, bessel_potential(2.0))).values, True),
-    (lambda f: refine_field(f).values, True),
-    (lambda f: element_from_h(f, _REP_MEASURE).phi.values, True),
-    (lambda f: krylov_norm(representer(f, _REP_MEASURE)), False),
-], ids=["mc_isometry_batch", "mc_representer_field", "inner0", "l2_inner", "solve_forward",
-        "solve_backward", "apply_multiplier", "refine_field", "element_from_h",
-        "krylov_norm_of_representer"])
-def test_entry_points_accept_either_representation(entry, exact):
-    phi = random_band_limited(_REP_LAT, np.random.default_rng(5))
-    a, b = (np.asarray(entry(f)) for f in (phi, forward_transform(phi)))
-    if exact:
+@pytest.mark.parametrize("entry, agreement", [case[1:] for case in _EITHER_REPRESENTATION],
+                         ids=[case[0] for case in _EITHER_REPRESENTATION])
+def test_entry_points_accept_either_representation(entry, agreement):
+    a, b = (np.asarray(entry(to)) for to in (inverse_transform, forward_transform))
+    if agreement is EXACT:
         assert a.tobytes() == b.tobytes()
     else:
-        np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(b, a, **agreement)
+
+
+def test_every_field_entry_point_has_an_either_representation_case():
+    """Each public function taking a Field has a case above; the transforms
+    and ``write_field`` are exempt: they convert or store a representation."""
+    takes_field = {name for name in spde_lab.__all__
+                   if inspect.isfunction(fn := getattr(spde_lab, name))
+                   and any(p.annotation is Field for p
+                           in inspect.signature(fn, eval_str=True).parameters.values())}
+    covered = {case[0].split("-")[0] for case in _EITHER_REPRESENTATION}
+    exempt = {"forward_transform", "inverse_transform", "write_field"}
+    assert takes_field - exempt - covered == set()
+    assert exempt <= takes_field
 
 
 def test_parseval_identity():

@@ -1,5 +1,7 @@
 """Covariance oracle, region screening, and locality experiments."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from spde_lab import (
     region_partition,
     space_time_bump,
 )
-from spde_lab.markov import RegionPartition
+from spde_lab.markov import RegionPartition, _spatial_separation_cells
 
 
 def _lat(n=16, nt=8, L=8.0, T=1.0):
@@ -248,6 +250,29 @@ def _bump_pair(lat, sep_frac=0.4, amp2=1.0):
     return h, g
 
 
+def _pairwise_separation(mask_a, mask_b):
+    """Reference: the minimum over all site pairs of the torus Chebyshev distance."""
+    a, b = np.argwhere(mask_a), np.argwhere(mask_b)
+    if a.size == 0 or b.size == 0:
+        return math.inf
+    diff = np.abs(a[:, None, :] - b[None, :, :])
+    diff = np.minimum(diff, np.array(mask_a.shape) - diff)
+    return float(diff.max(axis=2).min())
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8)])
+def test_spatial_separation_matches_the_pairwise_reference(dim, n):
+    lat = SpaceTimeLattice(dim, (8.0,) * dim, (n,) * dim, 1.0, 2)
+    rng = np.random.default_rng(dim)
+    for density in (0.002, 0.01, 0.05, 0.3):
+        for shape in (lat.n_space, lat.shape):  # a space-time field: any slice counts
+            masks = rng.random((2,) + shape) < density
+            a, b = (Field(lat, Representation.PHYSICAL, m) for m in masks)
+            if len(shape) > dim:
+                masks = masks.any(axis=1)
+            assert _spatial_separation_cells(a, b) == _pairwise_separation(*masks)
+
+
 def test_kunsch_orthogonality_local_measure_small():
     # fine enough that the even-order discretization floor sits below the
     # genuine fractional-order plateau
@@ -325,3 +350,19 @@ def test_kunsch_decomposition_rejects_bad_cutoffs():
     with pytest.raises(ValueError):  # transition region touches the support
         kunsch_decomposition(m, zeta, radial_cutoff(
             lat, center=(0.3 * 16.0,), inner_radius=0.5, outer_radius=8.0))
+
+
+@pytest.mark.parametrize("base, value", [(0.0, 1e-10), (1.0, 1.0 - 1e-10)],
+                         ids=["near_zero", "near_one"])
+def test_kunsch_decomposition_refuses_a_transition_within_1e9_of_constant(base, value):
+    """The one transition tolerance is 1e-12: a cutoff 1e-10 away from 0 or 1
+    at one site of the support is a transition there."""
+    lat = SpaceTimeLattice(1, (16.0,), (64,), 0.5, 16)
+    m = SpectralMeasure("bessel", 2.0, 1)
+    h, _ = _bump_pair(lat)
+    zeta = element_from_h(h, m)
+    vals = np.full(lat.n_space, base)
+    kunsch_decomposition(m, zeta, Field(lat, Representation.PHYSICAL, vals))
+    vals[19] = value  # x = 4.75, the bump center
+    with pytest.raises(ValueError, match="cutoff transition region overlaps the field support"):
+        kunsch_decomposition(m, zeta, Field(lat, Representation.PHYSICAL, vals))

@@ -202,13 +202,20 @@ def test_samplers_draw_one_unit_pair_per_path_and_step(monkeypatch, paths_per_ch
     (lambda m: simulate_u(m.measure, m.lattice, -1, 1), "seed"),
     (lambda m: simulate_u(m.measure, m.lattice, 2**64, 1), "seed"),
     (lambda m: simulate_u(m.measure, m.lattice, 1.5, 1), "seed"),
+    (lambda m: simulate_u(m.measure, m.lattice, True, 1), "seed"),
     (lambda m: simulate_u(m.measure, m.lattice, 0, -1), r"n_paths must be >= 0"),
+    (lambda m: simulate_u(m.measure, m.lattice, 1, 2.5), "n_paths must be an integer"),
+    (lambda m: simulate_u(m.measure, m.lattice, 1, True), "n_paths must be an integer"),
+    (lambda m: mc_representer_field(m, random_band_limited(
+        m.lattice, np.random.default_rng(0)), 1, 2.5), "n_paths must be an integer"),
     (lambda m: mc_covariance(m, [(4, (3,))], -1, 4), "seed"),
-], ids=["seed_negative", "seed_too_large", "seed_float", "n_paths_negative",
+], ids=["seed_negative", "seed_too_large", "seed_float", "seed_bool", "n_paths_negative",
+        "n_paths_float", "n_paths_bool", "representer_field_n_paths_float",
         "covariance_seed"])
 def test_bad_draw_keys_rejected(run, message):
-    """A seed outside the Philox key range is refused by name before anything
-    is drawn, not left to overflow inside the generator."""
+    """A seed outside the Philox key range, or a bool or non-integer key, is
+    refused by name before anything is drawn, not left to overflow inside the
+    generator or to be read as an integer."""
     with pytest.raises(ValueError, match=rf"^{message}"):
         run(_model(n=16, nt=4))
 
