@@ -82,11 +82,15 @@ def radial_cutoff(lattice: SpaceTimeLattice, center, inner_radius: float,
 
 def support_mask(f: Field) -> np.ndarray:
     """Spatial support of ``f``, shape ``lattice.n_space``: the sites where the
-    physical |value| exceeds 1e-12 times the field maximum in some time slice."""
+    physical |value| exceeds 1e-12 times the field maximum in some time slice.
+    A field holding NaN has no support and is refused."""
     a = np.abs(inverse_transform(f).values)
     if f.space_time:
         a = a.max(axis=0)
-    return a > 1e-12 * a.max()
+    top = a.max()
+    if np.isnan(top):
+        raise ValueError("field holds NaN: its support is undefined")
+    return a > 1e-12 * top
 
 
 def _cutoff_values(chi: Field, f: Field) -> np.ndarray:

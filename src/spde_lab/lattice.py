@@ -301,11 +301,11 @@ class Field:
 
     def real_values(self) -> np.ndarray:
         """Real part of the physical values, asserting their imaginary part is
-        round-off (1e-9 of the largest magnitude)."""
+        round-off (1e-9 of the largest magnitude); a NaN anywhere is refused."""
         vals = inverse_transform(self).values
         scale = float(np.max(np.abs(vals))) or 1.0
         worst = float(np.max(np.abs(vals.imag)))
-        if worst > 1e-9 * scale:
+        if not worst <= 1e-9 * scale:
             raise ValueError(f"field is not real: max |imag| = {worst:.3e} (scale {scale:.3e})")
         return vals.real.copy()
 

@@ -22,6 +22,7 @@ only transform, weight and reverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,11 @@ from .lattice import (Field, Representation, SpaceTimeLattice, forward_transform
                       inverse_transform, norm0, refine_field)
 from .bumps import mollifier, space_time_bump
 from .spectral import periodized_heat_kernel
+
+# Bytes per block of a chunked deterministic computation (the heat-kernel
+# values of a Riemann block of source times here, a norm-equivalence chunk
+# in rkhs): enough work to spread the per-call cost, few enough to stay in cache.
+CHUNK_BYTES = 256 * 1024
 
 
 def solve_forward(phi1: Field) -> Field:
@@ -188,12 +194,16 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
             # s slices strictly below tm contribute
             s_mask = s_grid < tm - 1e-12
             s_act = s_grid[s_mask]
-            # diffs[ax]: (n_live, ...), broadcasting against ref.n_space
-            diffs = [x[live].reshape((-1,) + (1,) * d) - y for x, y in zip(flat_x, y_axes)]
+            # diffs[ax]: (1, n_live, ...), broadcasting against ref.n_space
+            diffs = [x[live].reshape((1, -1) + (1,) * d) - y for x, y in zip(flat_x, y_axes)]
+            # one kernel call and one stacked product per block of source
+            # times; matmul gives each time's bytes of a per-time dot product
+            block = math.ceil(CHUNK_BYTES / (8 * live.size * math.prod(ref.n_space)))
             contrib = np.zeros((s_act.size,) + ref.n_space)
-            for i, s in enumerate(s_act):
-                G = periodized_heat_kernel(np.asarray(tm - s), diffs, extent)
-                contrib[i] = np.tensordot(eta_vals[live], G, axes=(0, 0))
+            for i in range(0, s_act.size, block):
+                lag = (tm - s_act[i:i + block]).reshape((-1,) + (1,) * (d + 1))
+                G = periodized_heat_kernel(lag, diffs, extent).reshape(len(lag), live.size, -1)
+                contrib[i:i + block] = np.matmul(eta_vals[live], G).reshape((-1,) + ref.n_space)
             approx[s_mask] += cell_vol * contrib
         diff = Field(ref, Representation.PHYSICAL, (approx - phi_ref_vals).astype(np.complex128))
         err = norm0(diff, measure)

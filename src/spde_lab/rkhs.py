@@ -31,7 +31,7 @@ from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
                       apply_multiplier, band_limit, forward_transform, inner0,
                       inverse_transform, l2_inner, l2_norm, norm0, pair_stacks,
                       spectral_transform)
-from .pde import solve_backward, solve_forward
+from .pde import CHUNK_BYTES, solve_backward, solve_forward
 from .spectral import Family, SpectralMeasure
 
 
@@ -257,9 +257,6 @@ def krylov_norm(a: RkhsElement) -> float:
     return float(_krylov_norms(H, F1, m.alpha / 2.0, a.h.lattice)[0])
 
 
-# Bytes per complex (n_time+1) x n_space array of a norm-equivalence chunk:
-# enough samples to spread the per-call cost, few enough to stay in cache.
-CHUNK_BYTES = 256 * 1024
 # Largest accepted max/min norm ratio: a frozen regression constant, not a
 # sharp theoretical value.
 SPREAD_BOUND = 20.0

@@ -176,15 +176,23 @@ def kernel_eval(m: SpectralMeasure, lattice):
 
 def periodized_heat_kernel(t: np.ndarray, diffs, extent) -> np.ndarray:
     """Extent-periodized heat kernel (4 pi t)^(-d/2) exp(-|x|^2/(4t)), t > 0,
-    summed over the nearest image per axis (3^d shifts)."""
+    summed over the nearest image per axis (3^d shifts); 0 where t <= 0.
+
+    ``t`` may have any shape that broadcasts against the offsets ``diffs``;
+    a stack of times gives, time by time, the bytes of one call per time.
+    """
     d = len(extent)
     out = np.zeros(np.broadcast_shapes(t.shape, *(x.shape for x in diffs)), dtype=float)
-    t_safe = np.where(t > 0, t, 1.0)
+    term = np.empty_like(out)  # one buffer for every image's exponent and exp
+    four_t = 4.0 * np.where(t > 0, t, 1.0)
     for shifts in np.ndindex(*(3,) * d):
         r2 = sum((x + (k - 1) * L) ** 2 for x, k, L in zip(diffs, shifts, extent))
-        out += np.exp(-r2 / (4.0 * t_safe))
-    out *= (4.0 * np.pi * t_safe) ** (-d / 2.0)
-    return np.where(t > 0, out, 0.0)
+        out += np.exp(np.divide(-r2, four_t, out=term), out=term)
+    # libm pow per time, as for a scalar t: numpy's array power rounds some
+    # times (e.g. t = k/128) one ulp apart from it; t <= 0 gets prefactor 0
+    out *= np.array([(4.0 * np.pi * v) ** (-d / 2.0) if v > 0 else 0.0
+                     for v in t.ravel().tolist()]).reshape(t.shape)
+    return out
 
 
 def heat_kernel_closed_form(m: SpectralMeasure, lattice) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Heat solvers: exact exponential stepping, adjoint duality, studies."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from spde_lab import (
     solve_forward,
     space_time_bump,
 )
+from spde_lab import pde
 from spde_lab.pde import riemann_convergence_study as study_fn
 
 
@@ -140,6 +143,47 @@ def test_riemann_study_runs_in_two_dimensions():
     errs = [r["norm0_error"] for r in study["rows"]]
     assert study["monotone"] and all(a > b for a, b in zip(errs, errs[1:]))
     assert study["reference"] == {"n_space": 32, "n_time": 32}
+
+
+_RIEMANN_CASES = {
+    1: (SpectralMeasure("bessel", 2.0, 1),
+        BumpSpec(t_center=0.5, t_width=0.3, x_center=(4.0,), x_width=(1.0,)),
+        [8, 16, 32], (8.0,)),
+    2: (SpectralMeasure("bessel", 2.0, 2),
+        BumpSpec(t_center=0.5, t_width=0.25, x_center=(4.0, 4.0), x_width=(1.2, 1.2)),
+        [4, 8, 16], (8.0, 8.0)),
+    3: (SpectralMeasure("bessel", 2.0, 3),
+        BumpSpec(t_center=0.5, t_width=0.2, x_center=(1.5, 1.5, 1.5),
+                 x_width=(1.0, 1.2, 0.8)),
+        [2, 4, 8], (4.0, 4.0, 4.0)),
+}
+# sha256 of each study's repr and, per level, the bytes of phi_n - phi
+# (numpy 2.4, OpenBLAS, x86-64; the same under 1 and 2 BLAS threads),
+# recorded from the per-source-time kernel loop the blocks replaced
+_RIEMANN_PINNED = {
+    1: "f27a8bd03c0a38ab1c994e540f7560448b90c83abc2bdd6bc74bf39dcf263a02",
+    2: "4e8a2e1f21417f235de793ca295e189296d88099975e9b51865ad7a1a8849ba0",
+    3: "5557ad568c53eb53c0ecd952e343c92e5575c1f553ce97dae1dd0938c9d88480",
+}
+
+
+@pytest.mark.parametrize("d", sorted(_RIEMANN_CASES), ids=["1d", "2d", "3d"])
+def test_riemann_study_bytes_do_not_depend_on_the_block_size(d, monkeypatch):
+    """One source time per block, the default blocks and one block per step
+    all give the pinned study and error fields byte for byte."""
+    measure, bump, levels, extent = _RIEMANN_CASES[d]
+    captured = []
+    norm0 = pde.norm0  # the study reduces each level's phi_n - phi with norm0
+    monkeypatch.setattr(pde, "norm0",
+                        lambda f, m: captured.append(f.values.copy()) or norm0(f, m))
+    for chunk_bytes in (1, pde.CHUNK_BYTES, 1 << 40):
+        monkeypatch.setattr(pde, "CHUNK_BYTES", chunk_bytes)
+        study = riemann_convergence_study(measure, bump, levels, extent, 1.0)
+        h = hashlib.sha256(repr(study).encode())
+        for diff in captured:
+            h.update(diff.tobytes())
+        captured.clear()
+        assert h.hexdigest() == _RIEMANN_PINNED[d]
 
 
 def test_riemann_study_needs_three_levels():

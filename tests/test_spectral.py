@@ -16,6 +16,7 @@ from spde_lab import (
     truncation_tail,
 )
 from spde_lab.errors import DalangConditionError
+from spde_lab.spectral import periodized_heat_kernel
 
 
 def test_white_density_is_one_everywhere():
@@ -98,6 +99,26 @@ def test_kernel_eval_matches_closed_form_heat():
     closed = heat_kernel_closed_form(m, lat)
     # lattice quadrature = closed form up to Nyquist truncation of a Gaussian
     np.testing.assert_allclose(quad_vals, closed, atol=1e-8 * closed.max())
+
+
+@pytest.mark.parametrize("lat", [
+    SpaceTimeLattice(1, (8.0,), (32,), 1.0, 4),
+    SpaceTimeLattice(2, (8.0, 6.0), (16, 8), 1.0, 4),
+], ids=["1d", "2d"])
+def test_heat_kernel_on_a_stack_of_times_matches_one_call_per_time(lat):
+    """A (K, 1, ...) stack of times gives each time's bytes of a scalar-time
+    call, on t = k/128 (where numpy's array power rounds some prefactors one
+    ulp apart from libm's) and at t <= 0, where the kernel is 0."""
+    d = lat.dim
+    sources = [np.array([1.0, 3.7, 7.5]) * L / 8.0 for L in lat.extent]
+    diffs = [x.reshape((-1,) + (1,) * d) - y for x, y in zip(sources, lat.space_axes())]
+    times = np.arange(-3, 129) / 128.0
+    stack = periodized_heat_kernel(times.reshape((-1,) + (1,) * (d + 1)),
+                                   [x[None] for x in diffs], lat.extent)
+    assert stack.shape == (times.size, 3) + lat.n_space
+    for t, G in zip(times, stack):
+        assert G.tobytes() == periodized_heat_kernel(np.asarray(t), diffs, lat.extent).tobytes()
+    assert not stack[times <= 0].any()
 
 
 def test_kernel_eval_is_real_and_even():
