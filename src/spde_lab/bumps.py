@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Field, Representation, SpaceTimeLattice, inverse_transform
+from .lattice import Field, Representation, SpaceTimeLattice, _finite_physical
 
 
 def mollifier(r) -> np.ndarray:
@@ -83,14 +83,11 @@ def radial_cutoff(lattice: SpaceTimeLattice, center, inner_radius: float,
 def support_mask(f: Field) -> np.ndarray:
     """Spatial support of ``f``, shape ``lattice.n_space``: the sites where the
     physical |value| exceeds 1e-12 times the field maximum in some time slice.
-    A field holding NaN has no support and is refused."""
-    a = np.abs(inverse_transform(f).values)
+    A field holding an inf or NaN has no support and is refused."""
+    a = np.abs(_finite_physical(f))
     if f.space_time:
         a = a.max(axis=0)
-    top = a.max()
-    if np.isnan(top):
-        raise ValueError("field holds NaN: its support is undefined")
-    return a > 1e-12 * top
+    return a > 1e-12 * a.max()
 
 
 def _cutoff_values(chi: Field, f: Field) -> np.ndarray:

@@ -301,13 +301,21 @@ class Field:
 
     def real_values(self) -> np.ndarray:
         """Real part of the physical values, asserting their imaginary part is
-        round-off (1e-9 of the largest magnitude); a NaN anywhere is refused."""
-        vals = inverse_transform(self).values
+        round-off (1e-9 of the largest magnitude); an inf or NaN is refused."""
+        vals = _finite_physical(self)
         scale = float(np.max(np.abs(vals))) or 1.0
         worst = float(np.max(np.abs(vals.imag)))
-        if not worst <= 1e-9 * scale:
+        if worst > 1e-9 * scale:
             raise ValueError(f"field is not real: max |imag| = {worst:.3e} (scale {scale:.3e})")
         return vals.real.copy()
+
+
+def _finite_physical(f: Field) -> np.ndarray:
+    """Physical values of ``f``; an inf or NaN in either part of its values,
+    in either representation, is refused before any transform."""
+    if not np.isfinite(f.values).all():
+        raise ValueError("field holds a non-finite value")
+    return inverse_transform(f).values
 
 
 # -- transforms ---------------------------------------------------------------

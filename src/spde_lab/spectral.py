@@ -26,13 +26,17 @@ decided in closed form per family (dalang_condition).
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from .lattice import Field, Representation, _grid_density
 
@@ -119,11 +123,31 @@ def _sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+@functools.cache
+def _quadpack():
+    """scipy's compiled QUADPACK, ``scipy.integrate._quadpack``, loaded from
+    its file alone: importing ``scipy.integrate`` for it would also load
+    scipy.special, scipy.optimize and scipy.sparse, about 270 modules.  Not
+    registered here, though CPython files a single-phase extension module in
+    ``sys.modules`` itself, and a later ``import scipy.integrate`` reuses it."""
+    name = "scipy.integrate._quadpack"
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(p, "integrate") for p in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"cannot find {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def truncation_tail(m: SpectralMeasure, radius: float) -> float:
     """integral_{|xi| > radius} (1+|xi|^2)^(-1) mu(dxi); inf when divergent.
 
     This is the quantitative truncation error of restricting the measure to a
     lattice frequency grid with Nyquist radius ``radius``; reports embed it.
+    The integral is QUADPACK's qagie on [radius, inf) with the arguments
+    ``scipy.integrate.quad(integrand, radius, inf, limit=200)`` passes it, so
+    it has quad's bytes; a nonzero ``ier`` warns, as quad does.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -134,7 +158,13 @@ def truncation_tail(m: SpectralMeasure, radius: float) -> float:
     def integrand(r):
         return r ** (d - 1) * m.density(r * r) / (1.0 + r * r)
 
-    val, _ = integrate.quad(integrand, radius, np.inf, limit=200)
+    # bound, inf = 1 (the interval [bound, inf)), args, full_output, epsabs,
+    # epsrel, limit: quad's defaults and its limit=200
+    val, _, ier = _quadpack()._qagie(integrand, radius, 1, (), 0, 1.49e-8, 1.49e-8, 200)
+    if ier != 0:
+        warnings.warn(f"QUADPACK qagie returned ier={ier} for the truncation tail "
+                      f"beyond radius {radius}; the value may be inaccurate",
+                      RuntimeWarning, stacklevel=2)
     return _sphere_area(d) * val
 
 

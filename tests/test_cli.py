@@ -438,3 +438,30 @@ def test_mc_outputs_do_not_depend_on_blas_threads(tmp_path):
         results.append((run.stdout, _tree_bytes(work / "covariance_out"),
                         _tree_bytes(work / "sample_out")))
     assert results[0] == results[1]
+
+
+# Imports spde_lab and its CLI, runs the riemann config of PINNED_TREES (whose
+# report carries the truncation tail), then prints the report's tail and the
+# scipy subpackages that were loaded.
+_IMPORT_CHILD = """
+import json, sys
+import spde_lab, spde_lab.cli
+assert spde_lab.cli.main(["riemann", "--config", "riemann.yaml", "--quiet"]) == 0
+report = json.load(open("riemann_out/riemann_report.json"))
+heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse")
+print(json.dumps([report["truncation_tail"], [m for m in heavy if m in sys.modules]]))
+"""
+
+
+def test_cli_run_loads_no_heavy_scipy_subpackage(tmp_path):
+    """The truncation tail loads QUADPACK's compiled module alone, so a CLI
+    run never imports scipy.integrate and what it would bring along."""
+    _write_cfg(tmp_path / "riemann.yaml",
+               _base_cfg("riemann_out", **PINNED_TREES["riemann"][0]))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=300,
+                         env=_child_env("1"))
+    assert run.returncode == 0, run.stderr
+    tail, loaded = json.loads(run.stdout)
+    assert 0.0 < tail < float("inf")
+    assert loaded == []

@@ -171,7 +171,7 @@ def _with_far_value(chi, value):
      "cutoff must be a space-only field"),
     (lambda chi: _with_far_value(chi, 1.5), r"cutoff values must lie in \[0, 1\]"),
     (lambda chi: _with_far_value(chi, -0.5), r"cutoff values must lie in \[0, 1\]"),
-    (lambda chi: _with_far_value(chi, np.nan), "field is not real"),
+    (lambda chi: _with_far_value(chi, np.nan), "field holds a non-finite value"),
     (lambda chi: _with_far_value(chi, 0.5j), "field is not real"),
 ], ids=["other_lattice", "space_time", "above_one", "below_zero", "nan", "complex"])
 def test_localization_refuses_a_bad_cutoff(bad, message):

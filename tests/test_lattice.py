@@ -476,17 +476,19 @@ def test_real_values_guard():
 
 @pytest.mark.parametrize("to", [inverse_transform, forward_transform],
                          ids=["physical", "frequency"])
-@pytest.mark.parametrize("bad", [np.nan, 1j * np.nan], ids=["nan_real", "nan_imag"])
+@pytest.mark.parametrize("bad", [np.nan, 1j * np.nan, np.inf, -np.inf, complex(0.0, np.inf)],
+                         ids=["nan_real", "nan_imag", "inf_real", "neg_inf_real", "inf_imag"])
 @pytest.mark.parametrize("space_time", [True, False], ids=["space_time", "space_only"])
 def test_nan_field_is_refused(to, bad, space_time):
-    """A NaN in either part makes real_values and support_mask refuse the
-    field in either representation, not return clean values or no support."""
+    """An inf or NaN in either part makes real_values and support_mask refuse
+    the field in either representation, not return values or a support."""
     lat = _lat(n=16, nt=8)
     vals = np.zeros(lat.shape if space_time else lat.n_space, dtype=np.complex128)
     vals[..., 3] = 1.0
     vals[..., 5] = bad
-    f = to(Field(lat, Representation.PHYSICAL, vals))
-    with pytest.raises(ValueError, match="field is not real"):
+    with np.errstate(invalid="ignore"):  # the FFT of an inf is NaN-filled
+        f = to(Field(lat, Representation.PHYSICAL, vals))
+    with pytest.raises(ValueError, match="field holds a non-finite value"):
         f.real_values()
-    with pytest.raises(ValueError, match="field holds NaN"):
+    with pytest.raises(ValueError, match="field holds a non-finite value"):
         support_mask(f)

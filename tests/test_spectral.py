@@ -1,6 +1,10 @@
 """Spectral measures: densities, kernels, and the existence condition."""
 
+import importlib.machinery
+import itertools
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +19,9 @@ from spde_lab import (
     kernel_eval,
     truncation_tail,
 )
+from spde_lab import spectral
 from spde_lab.errors import DalangConditionError
-from spde_lab.spectral import periodized_heat_kernel
+from spde_lab.spectral import _sphere_area, periodized_heat_kernel
 
 
 def test_white_density_is_one_everywhere():
@@ -155,6 +160,60 @@ def test_truncation_tail_decreases_with_radius():
 
 def test_truncation_tail_divergent_measure_is_inf():
     assert truncation_tail(SpectralMeasure("white", 1.0, 2), 8.0) == math.inf
+
+
+_TAIL_RADII = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 1000.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family, alphas", [
+    ("white", (0.0,)), ("heat_kernel", (0.01, 1.0)),
+    ("bessel", (0.5, 1.0, 2.0, 3.5)), ("riesz", (0.25, 0.5, 0.9)),
+], ids=["white", "heat_kernel", "bessel", "riesz"])
+def test_truncation_tail_has_the_bytes_of_quad(family, alphas, dim):
+    """The direct QUADPACK call is scipy.integrate.quad on [radius, inf) with
+    limit=200, bit for bit; if scipy changes the private routine this fails.
+    Riesz alphas are fractions of dim, so each lies in (0, dim)."""
+    for alpha, radius in itertools.product(alphas, _TAIL_RADII):
+        m = SpectralMeasure(family, alpha * dim if family == "riesz" else alpha, dim)
+        tail = truncation_tail(m, radius)
+        if not dalang_condition(m):
+            assert tail == math.inf
+            continue
+
+        def integrand(r):
+            return r ** (dim - 1) * m.density(r * r) / (1.0 + r * r)
+
+        ref = _sphere_area(dim) * integrate.quad(integrand, radius, np.inf, limit=200)[0]
+        assert tail.hex() == ref.hex(), (m, radius)
+
+
+def test_truncation_tail_warns_on_a_quadpack_error_code(monkeypatch):
+    """A nonzero ier warns and names the code, and the value is still
+    returned, as quad's IntegrationWarning did; ier = 0 is silent."""
+    calls = []
+
+    def qagie(*args):
+        calls.append(args[1:])
+        return 0.25, 1e-3, ier
+
+    monkeypatch.setattr(spectral, "_quadpack", lambda: SimpleNamespace(_qagie=qagie))
+    m = SpectralMeasure("bessel", 2.0, 1)
+    ier = 5
+    with pytest.warns(RuntimeWarning, match="ier=5"):
+        assert truncation_tail(m, 8.0) == _sphere_area(1) * 0.25
+    ier = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert truncation_tail(m, 8.0) == _sphere_area(1) * 0.25
+    assert calls == [(8.0, 1, (), 0, 1.49e-8, 1.49e-8, 200)] * 2
+
+
+def test_missing_quadpack_module_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    with pytest.raises(ImportError, match=r"scipy\.integrate\._quadpack"):
+        spectral._quadpack.__wrapped__()
 
 
 def test_density_integrable_flag():
