@@ -182,15 +182,27 @@ class SpaceTimeLattice:
                 pos, 2.0 * lam, 1.0)
         return np.where(pos, body, t_min)
 
-    def march(self, increments: np.ndarray) -> np.ndarray:
+    def march(self, increments: np.ndarray, out=None) -> np.ndarray:
         """The per-mode march out(t_{k+1}) = a out(t_k) + increments(t_k) from
         out(t_0) = 0, for a stack (c, >= n_time, *n_space) of increments;
-        returns (c, n_time + 1, *n_space)."""
-        out = np.zeros((len(increments),) + self.shape, dtype=increments.dtype)
+        returns (c, n_time + 1, *n_space), into ``out`` when given."""
+        out = np.empty((len(increments),) + self.shape, increments.dtype) if out is None else out
+        out[:, 0] = 0.0
         for k in range(self.n_time):
             np.multiply(self.decay, out[:, k], out=out[:, k + 1])
             out[:, k + 1] += increments[:, k]
         return out
+
+    @cached_property
+    def _band_tables(self) -> tuple:
+        """band_limit's spatial mask |k_ax| <= n_ax / 4 and time envelope
+        sin^2(pi t / t_max), shaped to broadcast against a space-time field."""
+        mask = np.ones(self.n_space, dtype=bool)
+        for low in np.meshgrid(*(np.abs(np.fft.fftfreq(n) * n) <= 0.25 * n
+                                 for n in self.n_space), indexing="ij", sparse=True):
+            mask &= low
+        t = np.arange(self.n_time + 1) / self.n_time
+        return mask, (np.sin(np.pi * t) ** 2).reshape((-1,) + (1,) * self.dim)
 
     def phase(self, x) -> np.ndarray:
         """xi . x = sum_ax xi_ax x_ax on the frequency grid for physical points
@@ -322,15 +334,17 @@ def _finite_physical(f: Field) -> np.ndarray:
 
 
 def spectral_transform(values: np.ndarray, lattice: SpaceTimeLattice,
-                       inverse: bool = False) -> np.ndarray:
+                       inverse: bool = False, out=None) -> np.ndarray:
     """Scaled spatial DFT over the trailing ``lattice.dim`` axes (see the module
-    conventions), or its exact inverse; one call transforms a stack of fields."""
+    conventions), or its exact inverse, of a stack of fields; into ``out`` if given."""
     axes = tuple(range(-lattice.dim, 0))
     if inverse:
-        scale = (2.0 * np.pi) ** (lattice.dim / 2.0) / lattice.cell_volume
-        return np.fft.ifftn(values, axes=axes) * scale
-    scale = (2.0 * np.pi) ** (-lattice.dim / 2.0) * lattice.cell_volume
-    return np.fft.fftn(values, axes=axes) * scale
+        out = np.fft.ifftn(values, axes=axes, out=out)
+        out *= (2.0 * np.pi) ** (lattice.dim / 2.0) / lattice.cell_volume
+    else:
+        out = np.fft.fftn(values, axes=axes, out=out)
+        out *= (2.0 * np.pi) ** (-lattice.dim / 2.0) * lattice.cell_volume
+    return out
 
 
 def forward_transform(f: Field) -> Field:
@@ -403,11 +417,13 @@ def _grid_density(measure, lattice: SpaceTimeLattice) -> np.ndarray:
 
 
 def pair_stacks(F: np.ndarray, G: np.ndarray, measure,
-                lattice: SpaceTimeLattice) -> np.ndarray:
-    """<f_i, g_i>_0 of inner0 for stacks (c, n_time+1, *n_space) of frequency values."""
+                lattice: SpaceTimeLattice, work=None) -> np.ndarray:
+    """<f_i, g_i>_0 of inner0 for stacks (c, n_time+1, *n_space) of frequency
+    values; ``work`` (complex, F[:, :-1]'s shape) takes the products if given."""
     w = _grid_density(measure, lattice) * lattice.freq_cell_volume
-    axes = tuple(range(1, lattice.dim + 2))
-    return np.sum(F[:, :-1] * np.conj(G[:, :-1]) * w, axis=axes) * lattice.dt
+    terms = np.multiply(F[:, :-1], np.conj(G[:, :-1], out=work), out=work)
+    terms *= w
+    return np.sum(terms, axis=tuple(range(1, lattice.dim + 2))) * lattice.dt
 
 
 def inner0(f: Field, g: Field, measure) -> complex:
@@ -440,19 +456,14 @@ def random_band_limited(lattice: SpaceTimeLattice, rng: np.random.Generator) -> 
     return Field(lattice, Representation.PHYSICAL, values)
 
 
-def band_limit(white: np.ndarray, lattice: SpaceTimeLattice) -> np.ndarray:
+def band_limit(white: np.ndarray, lattice: SpaceTimeLattice, out=None) -> np.ndarray:
     """The values of random_band_limited for real draws ``white`` whose trailing
-    axes are (n_time + 1, *n_space)."""
-    mask = np.ones(lattice.n_space, dtype=bool)
-    wavenumbers = np.meshgrid(*(np.fft.fftfreq(n) * n for n in lattice.n_space),
-                              indexing="ij", sparse=True)
-    for k, n in zip(wavenumbers, lattice.n_space):
-        mask &= np.abs(k) <= 0.25 * n
-    F = spectral_transform(white.astype(np.complex128), lattice)
-    F *= mask
-    out = spectral_transform(F, lattice, inverse=True).real.astype(np.complex128)
-    t = np.arange(lattice.n_time + 1) / lattice.n_time
-    out *= (np.sin(np.pi * t) ** 2).reshape((-1,) + (1,) * lattice.dim)
+    axes are (n_time + 1, *n_space); into ``out`` (complex) if given."""
+    mask, envelope = lattice._band_tables
+    out = spectral_transform(white, lattice, out=out)
+    out *= mask
+    spectral_transform(out, lattice, inverse=True, out=out).imag = 0.0
+    out *= envelope
     return out
 
 

@@ -21,11 +21,15 @@ control) and refinement-monotone; a finite lattice is never exactly Markov.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .bumps import _cutoff_values, support_mask
 from .errors import InvariantViolation
@@ -33,7 +37,35 @@ from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
                       _physical_points, inverse_transform)
 from .rkhs import (RkhsElement, element_from_h, heat_column, krylov_norm, rkhs_inner,
                    rkhs_inner_raw)
-from .spectral import Family, SpectralMeasure
+from .spectral import Family, SpectralMeasure, _scipy_extension
+
+
+@contextlib.contextmanager
+def _one_blas_thread(*packages):
+    """Run on one thread of the OpenBLAS in each package's wheel (``<package>.libs``;
+    numpy's symbols end in 64_), restoring the old counts after, on exceptions
+    too: OpenBLAS's Cholesky and eigensolvers round differently at different
+    thread counts (its gemm does not).  No library there is an error."""
+    libs = []
+    for package in packages:
+        root = os.path.dirname(sys.modules[package].__path__[0])
+        paths = glob.glob(os.path.join(root, f"{package}.libs", "libscipy_openblas*"))
+        if not paths:
+            raise ImportError(f"no OpenBLAS library in {package}.libs")
+        lib = ctypes.CDLL(paths[0])  # already loaded: the same library
+        get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads"
+                             + ("64_" if package == "numpy" else "")) for op in ("get", "set"))
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        libs.append((get, set_))
+    old = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(libs, old):
+            set_(n)
 
 
 def covariance_oracle(measure: SpectralMeasure, lattice: SpaceTimeLattice,
@@ -58,6 +90,7 @@ class CovarianceMatrix:
     meta: dict = field(default_factory=dict)
 
 
+@_one_blas_thread("numpy")
 def assemble_covariance(measure: SpectralMeasure, lattice: SpaceTimeLattice,
                         points) -> CovarianceMatrix:
     """Full covariance matrix over ``points`` via the frequency-sum oracle.
@@ -164,6 +197,7 @@ def region_partition(lattice: SpaceTimeLattice, points, rect_physical,
     return RegionPartition(rect_idx, band_width, inside, band, outside)
 
 
+@_one_blas_thread("numpy", "scipy")
 def conditional_cov_screen(C: CovarianceMatrix, part: RegionPartition) -> dict:
     """Largest |conditional correlation| between inside and outside given the band.
 
@@ -183,12 +217,14 @@ def conditional_cov_screen(C: CovarianceMatrix, part: RegionPartition) -> dict:
     S_bb = S[np.ix_(B, B)].copy()
     ridge = 1e-10 * float(np.trace(S_bb))
     S_bb[np.diag_indices_from(S_bb)] += ridge
-    try:
-        chol = cho_factor(S_bb, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise InvariantViolation(f"band block not factorizable: {exc}") from exc
-    K_bi = cho_solve(chol, S[np.ix_(B, I)])
-    K_bo = cho_solve(chol, S[np.ix_(B, O)])
+    # cho_factor(S_bb, lower=True) and cho_solve's LAPACK calls and checks
+    lapack = _scipy_extension("linalg", "_flapack")
+    chol, info = lapack.dpotrf(np.asarray_chkfinite(S_bb), lower=1, clean=0, overwrite_a=0)
+    if info > 0:
+        raise InvariantViolation(f"band block not factorizable: {info}-th leading "
+                                 "minor of the array is not positive definite")
+    K_bi, K_bo = (lapack.dpotrs(chol, np.asarray_chkfinite(S[np.ix_(B, J)]),
+                                lower=1, overwrite_b=0)[0] for J in (I, O))
     cond_io = S[np.ix_(I, O)] - S[np.ix_(I, B)] @ K_bo
     var_i = S[I, I] - np.sum(S[np.ix_(I, B)].T * K_bi, axis=0)
     var_o = S[O, O] - np.sum(S[np.ix_(O, B)].T * K_bo, axis=0)

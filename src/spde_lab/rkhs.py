@@ -233,13 +233,14 @@ def duality_check(a: RkhsElement, eta: Field) -> dict:
 
 
 def _krylov_norms(H: np.ndarray, F1: np.ndarray, k: float,
-                  lat: SpaceTimeLattice) -> np.ndarray:
+                  lat: SpaceTimeLattice, work=None) -> np.ndarray:
     """||Lap h||_{L2(H^k)} + ||phi1||_{L2(H^k)} for stacks (c, n_time+1, *n_space)
-    of the frequency values of h and phi1, by left-endpoint frequency sums."""
+    of h and phi1's frequency values, by left-endpoint sums; terms go to ``work``."""
     w = (1.0 + lat.xi_squared) ** k
     total = 0.0
     for X, w_x in ((H, w * lat.xi_squared ** 2), (F1, w)):
-        part = np.sum((np.abs(X[:, :-1]) ** 2) * w_x, axis=tuple(range(1, lat.dim + 2)))
+        terms = np.square(np.abs(X[:, :-1], out=work), out=work)
+        part = np.sum(np.multiply(terms, w_x, out=terms), axis=tuple(range(1, lat.dim + 2)))
         total = total + np.sqrt(np.maximum(part * lat.dt * lat.freq_cell_volume, 0.0))
     return total
 
@@ -281,17 +282,25 @@ def norm_equivalence_study(samples: int, measure: SpectralMeasure,
         raise ValueError("norm equivalence study needs a Bessel measure of even order")
     rng = np.random.default_rng(seed)
     shape = lattice.shape
-    chunk = math.ceil(CHUNK_BYTES / (16 * math.prod(shape)))
+    chunk = min(samples, math.ceil(CHUNK_BYTES / (16 * math.prod(shape))))
     g = _grid_density(measure, lattice)
     ratios = np.zeros(samples)
+    # buffers for every chunk: fresh ones (above glibc's mmap threshold) fault
+    white, stacks = np.empty((chunk,) + shape), np.empty((4, chunk) + shape, complex)
     for start in range(0, samples, chunk):
         c = min(chunk, samples - start)
-        phi = band_limit(rng.standard_normal((c,) + shape), lattice)
-        Phi = spectral_transform(phi, lattice)
-        F1 = spectral_transform(spectral_transform(Phi * g, lattice, inverse=True), lattice)
-        h = spectral_transform(lattice.march(lattice.duhamel_weight * F1), lattice, inverse=True)
-        krylov = _krylov_norms(spectral_transform(h, lattice), F1, measure.alpha / 2.0, lattice)
-        denom = np.sqrt(np.maximum(pair_stacks(Phi, Phi, measure, lattice).real, 0.0))
+        phi, Phi, F1, H = stacks[:, :c]
+        band_limit(rng.standard_normal(out=white[:c]), lattice, out=phi)
+        spectral_transform(phi, lattice, out=Phi)
+        spectral_transform(np.multiply(Phi, g, out=F1), lattice, inverse=True, out=F1)
+        spectral_transform(F1, lattice, out=F1)
+        lattice.march(np.multiply(lattice.duhamel_weight, F1, out=phi), out=H)
+        spectral_transform(H, lattice, inverse=True, out=H)  # h, then its transform
+        spectral_transform(H, lattice, out=H)
+        # the spent white noise and increments hold the terms of the sums
+        krylov = _krylov_norms(H, F1, measure.alpha / 2.0, lattice, white[:c, :-1])
+        pairs = pair_stacks(Phi, Phi, measure, lattice, phi[:, :-1])
+        denom = np.sqrt(np.maximum(pairs.real, 0.0))
         ratios[start:start + c] = np.divide(krylov, denom, out=np.full(c, np.nan),
                                             where=denom > 0)
     report = {"ratio_min": float(np.nanmin(ratios)),

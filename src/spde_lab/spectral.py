@@ -124,17 +124,18 @@ def _sphere_area(d: int) -> float:
 
 
 @functools.cache
-def _quadpack():
-    """scipy's compiled QUADPACK, ``scipy.integrate._quadpack``, loaded from
-    its file alone: importing ``scipy.integrate`` for it would also load
-    scipy.special, scipy.optimize and scipy.sparse, about 270 modules.  Not
-    registered here, though CPython files a single-phase extension module in
-    ``sys.modules`` itself, and a later ``import scipy.integrate`` reuses it."""
-    name = "scipy.integrate._quadpack"
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's compiled module ``scipy.<subpackage>.<name>``, loaded from its
+    file alone: importing the subpackage for it would load far more, about 270
+    modules for scipy.integrate (with scipy.special, scipy.optimize and
+    scipy.sparse) and about 300 for scipy.linalg.  Not registered here, though
+    CPython files a single-phase extension module in ``sys.modules`` itself,
+    and a later import of the subpackage reuses it."""
+    full = f"scipy.{subpackage}.{name}"
     spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(p, "integrate") for p in scipy.__path__])
+        full, [os.path.join(p, subpackage) for p in scipy.__path__])
     if spec is None:
-        raise ImportError(f"cannot find {name}", name=name)
+        raise ImportError(f"cannot find {full}", name=full)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -160,7 +161,8 @@ def truncation_tail(m: SpectralMeasure, radius: float) -> float:
 
     # bound, inf = 1 (the interval [bound, inf)), args, full_output, epsabs,
     # epsrel, limit: quad's defaults and its limit=200
-    val, _, ier = _quadpack()._qagie(integrand, radius, 1, (), 0, 1.49e-8, 1.49e-8, 200)
+    qagie = _scipy_extension("integrate", "_quadpack")._qagie
+    val, _, ier = qagie(integrand, radius, 1, (), 0, 1.49e-8, 1.49e-8, 200)
     if ier != 0:
         warnings.warn(f"QUADPACK qagie returned ier={ier} for the truncation tail "
                       f"beyond radius {radius}; the value may be inaccurate",

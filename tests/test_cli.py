@@ -355,12 +355,10 @@ def test_riemann_bad_bump_exit_1(tmp_path, capsys, bump):
 
 # sha256 over (relative path, bytes) of each output tree for criterion 12's
 # small configs (numpy 2.4, OpenBLAS, x86-64; another FFT or BLAS may round
-# differently).  markov runs in a child process under OPENBLAS_NUM_THREADS=1:
-# its band screens run Cholesky and eigen solves whose bytes depend on the
-# BLAS thread count.  On the benchmark's screening inputs (2 CPUs) the
-# assembled matrix is bit-equal under OPENBLAS_NUM_THREADS=1 and the default,
-# but min_eig reads 2.0306979939846e-5 against 2.0306979939336e-5 and the
-# width-2 max_abs_cond_corr 0.013336227756215615 against 0.013336227756357582.
+# differently).  markov's eigen and Cholesky solves round differently at
+# different OpenBLAS thread counts, so markov runs them on one thread of
+# each library whatever the setting; its tree is checked in child processes
+# under OPENBLAS_NUM_THREADS=1 and under the default, against one digest.
 PINNED_TREES = {
     "sample": ({"sample": {"n_paths": 3}},
                "06575aef03789495da5c8a0f9f545eda8f6989f8986ff6e403c99e93cafd9328"),
@@ -375,30 +373,33 @@ PINNED_TREES = {
 }
 
 
-def _child_env(threads: str) -> dict:
+def _child_env(threads) -> dict:
     """The environment of a child process that imports this checkout's
-    spde_lab and runs OpenBLAS with ``threads`` threads."""
+    spde_lab and runs OpenBLAS with ``threads`` threads (None: the default)."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return dict(env, PYTHONPATH=pythonpath, **({} if threads is None else
+                                                {"OPENBLAS_NUM_THREADS": threads}))
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_TREES))
 def test_output_tree_matches_pinned_digest(tmp_path, capsys, command):
     extra, pinned = PINNED_TREES[command]
-    out = tmp_path / "out"
-    path = _write_cfg(tmp_path / "c.yaml", _base_cfg(out, **extra))
-    if command == "markov":
-        run = subprocess.run(
-            [sys.executable, "-m", "spde_lab.cli", command, "--config", path, "--quiet"],
-            capture_output=True, text=True, timeout=300, env=_child_env("1"))
-        assert run.returncode == 0, run.stderr
-    else:
-        assert main([command, "--config", path, "--quiet"]) == 0
-    digest = hashlib.sha256()
-    for rel, blob in _tree_bytes(out).items():
-        digest.update(rel.as_posix().encode() + b"\0" + blob)
-    assert digest.hexdigest() == pinned
+    for threads in ("1", None) if command == "markov" else ("in-process",):
+        out = tmp_path / str(threads)
+        path = _write_cfg(tmp_path / "c.yaml", _base_cfg(out, **extra))
+        if command == "markov":
+            run = subprocess.run(
+                [sys.executable, "-m", "spde_lab.cli", command, "--config", path, "--quiet"],
+                capture_output=True, text=True, timeout=300, env=_child_env(threads))
+            assert run.returncode == 0, run.stderr
+        else:
+            assert main([command, "--config", path, "--quiet"]) == 0
+        digest = hashlib.sha256()
+        for rel, blob in _tree_bytes(out).items():
+            digest.update(rel.as_posix().encode() + b"\0" + blob)
+        assert digest.hexdigest() == pinned, threads
     capsys.readouterr()
 
 
@@ -423,7 +424,7 @@ print(np.array([[r["mc_var"], r["exact"], r["z_score"]] for r in rows]).tobytes(
 
 def test_mc_outputs_do_not_depend_on_blas_threads(tmp_path):
     """The per-chunk gemv pairing and point capture give the same bytes under
-    one and two OpenBLAS threads (markov does not, see above)."""
+    one and two OpenBLAS threads without a pin (markov pins one, see above)."""
     results = []
     for threads in ("1", "2"):
         work = tmp_path / threads
@@ -441,27 +442,34 @@ def test_mc_outputs_do_not_depend_on_blas_threads(tmp_path):
 
 
 # Imports spde_lab and its CLI, runs the riemann config of PINNED_TREES (whose
-# report carries the truncation tail), then prints the report's tail and the
-# scipy subpackages that were loaded.
+# report carries the truncation tail) and its markov config (band screens),
+# then prints the tail, the band widths screened and the scipy subpackages
+# that were loaded.
 _IMPORT_CHILD = """
 import json, sys
 import spde_lab, spde_lab.cli
-assert spde_lab.cli.main(["riemann", "--config", "riemann.yaml", "--quiet"]) == 0
-report = json.load(open("riemann_out/riemann_report.json"))
-heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse")
-print(json.dumps([report["truncation_tail"], [m for m in heavy if m in sys.modules]]))
+for command in ("riemann", "markov"):
+    assert spde_lab.cli.main([command, "--config", command + ".yaml", "--quiet"]) == 0
+tail = json.load(open("riemann_out/riemann_report.json"))["truncation_tail"]
+rows = json.load(open("markov_out/markov_report.json"))["rows"]
+heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse",
+         "scipy.linalg")
+print(json.dumps([tail, len(rows), [m for m in heavy if m in sys.modules]]))
 """
 
 
 def test_cli_run_loads_no_heavy_scipy_subpackage(tmp_path):
-    """The truncation tail loads QUADPACK's compiled module alone, so a CLI
-    run never imports scipy.integrate and what it would bring along."""
-    _write_cfg(tmp_path / "riemann.yaml",
-               _base_cfg("riemann_out", **PINNED_TREES["riemann"][0]))
+    """The truncation tail loads QUADPACK's compiled module alone and the band
+    screen LAPACK's, so a CLI run never imports scipy.integrate, scipy.linalg
+    or what they would bring along."""
+    for command in ("riemann", "markov"):
+        _write_cfg(tmp_path / f"{command}.yaml",
+                   _base_cfg(f"{command}_out", **PINNED_TREES[command][0]))
     run = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], cwd=tmp_path,
                          capture_output=True, text=True, timeout=300,
                          env=_child_env("1"))
     assert run.returncode == 0, run.stderr
-    tail, loaded = json.loads(run.stdout)
+    tail, n_rows, loaded = json.loads(run.stdout)
     assert 0.0 < tail < float("inf")
+    assert n_rows == len(PINNED_TREES["markov"][0]["markov"]["band_widths"])
     assert loaded == []

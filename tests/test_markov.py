@@ -1,9 +1,15 @@
 """Covariance oracle, region screening, and locality experiments."""
 
+import ctypes
+import dataclasses
+import importlib.machinery
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from spde_lab import (
     Field,
@@ -22,7 +28,9 @@ from spde_lab import (
     region_partition,
     space_time_bump,
 )
-from spde_lab.markov import RegionPartition, _spatial_separation_cells
+from spde_lab.errors import InvariantViolation
+from spde_lab.markov import RegionPartition, _one_blas_thread, _spatial_separation_cells
+from spde_lab.spectral import _scipy_extension
 
 
 def _lat(n=16, nt=8, L=8.0, T=1.0):
@@ -218,6 +226,143 @@ def test_screen_empty_band_and_empty_outside():
         part.rect, 1.0, part.inside,
         np.concatenate([part.band, part.outside]), np.array([], dtype=int)))
     assert rep["max_abs_cond_corr"] == 0.0
+
+
+# -- the band screen's direct LAPACK calls and its BLAS thread pin -------------
+
+
+def _screen_setup():
+    lat = _lat(n=8, nt=8, L=4.0, T=0.5)
+    C = assemble_covariance(SpectralMeasure("bessel", 2.0, 1), lat, _grid_points(lat))
+    return C, region_partition(lat, C.points, ((0.125, 0.375), (1.0, 3.0)), 1.0)
+
+
+def _with_band_value(C, part, value):
+    """A copy of C whose first band diagonal entry is ``value``."""
+    S = C.values.copy()
+    S[part.band[0], part.band[0]] = value
+    return dataclasses.replace(C, values=S)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
+def test_direct_lapack_calls_have_the_bytes_of_cho_factor_and_cho_solve(n):
+    """The screen calls dpotrf/dpotrs with cho_factor(lower=True)'s and
+    cho_solve's arguments, so it gets their bytes; if scipy changes either
+    wrapper this fails."""
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n + 3))
+    A, B = M @ M.T + 1e-3 * np.eye(n), rng.standard_normal((n, 5))
+    lapack = _scipy_extension("linalg", "_flapack")
+    chol, info = lapack.dpotrf(A, lower=1, clean=0, overwrite_a=0)
+    ref = cho_factor(A, lower=True)
+    assert info == 0 and chol.tobytes() == ref[0].tobytes()
+    x, info = lapack.dpotrs(chol, B, lower=1, overwrite_b=0)
+    assert info == 0 and x.tobytes() == cho_solve(ref, B).tobytes()
+
+
+def test_screen_matches_the_cho_factor_reference():
+    """The whole screen report equals one built on cho_factor/cho_solve under
+    the same one-thread pin, float for float."""
+    C, part = _screen_setup()
+    S, (I, B, O) = C.values, (part.inside, part.band, part.outside)
+    with _one_blas_thread("numpy", "scipy"):
+        S_bb = S[np.ix_(B, B)].copy()
+        ridge = 1e-10 * float(np.trace(S_bb))
+        S_bb[np.diag_indices_from(S_bb)] += ridge
+        chol = cho_factor(S_bb, lower=True)
+        K_bi, K_bo = cho_solve(chol, S[np.ix_(B, I)]), cho_solve(chol, S[np.ix_(B, O)])
+        cond_io = S[np.ix_(I, O)] - S[np.ix_(I, B)] @ K_bo
+        var_i = S[I, I] - np.sum(S[np.ix_(I, B)].T * K_bi, axis=0)
+        var_o = S[O, O] - np.sum(S[np.ix_(O, B)].T * K_bo, axis=0)
+        floor = 1e-12 * float(np.max(np.diag(S)))
+        corr = np.abs(cond_io) / np.sqrt(np.outer(np.maximum(var_i, floor),
+                                                  np.maximum(var_o, floor)))
+    rep = conditional_cov_screen(C, part)
+    assert rep["ridge"] == ridge and rep["max_abs_cond_corr"] == float(corr.max())
+
+
+def test_screen_refuses_an_indefinite_or_non_finite_band_block():
+    C, part = _screen_setup()
+    with pytest.raises(InvariantViolation, match=r"band block not factorizable: 1-th "
+                       r"leading minor of the array is not positive definite"):
+        conditional_cov_screen(_with_band_value(C, part, -1.0), part)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            conditional_cov_screen(_with_band_value(C, part, bad), part)
+
+
+def test_missing_flapack_module_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        _scipy_extension.__wrapped__("linalg", "_flapack")
+
+
+def test_a_later_scipy_linalg_import_reuses_the_loaded_lapack_module():
+    """In a fresh interpreter: the screen's LAPACK module loads without
+    scipy.linalg, and importing scipy.linalg afterwards reuses it."""
+    child = ("import sys; from spde_lab.spectral import _scipy_extension as load; "
+             "m = load('linalg', '_flapack'); print('scipy.linalg' in sys.modules); "
+             "import scipy.linalg.lapack as lapack; print(lapack._flapack is m)")
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]
+
+
+def _loaded_openblas():
+    """{"numpy"/"scipy": (get, set)} of the thread count of each OpenBLAS
+    mapped into this process, found through /proc/self/maps rather than the
+    code's own search; numpy's is the build whose symbols end in 64_."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "libscipy_openblas" in line})
+    except OSError:
+        pytest.skip("no /proc/self/maps")
+    libs = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        suffix = "64_" if hasattr(lib, "scipy_openblas_get_num_threads64_") else ""
+        get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        libs["numpy" if suffix else "scipy"] = (get, set_)
+    return libs
+
+
+def test_markov_pins_one_blas_thread_and_restores_the_counts(monkeypatch):
+    """assemble_covariance runs on one thread of numpy's OpenBLAS and leaves
+    scipy's alone; the band screen runs on one thread of both.  Each gives
+    the previous counts back, also when the screen raises."""
+    _scipy_extension("linalg", "_flapack")  # maps scipy's OpenBLAS
+    C, part = _screen_setup()
+    libs = _loaded_openblas()
+    assert sorted(libs) == ["numpy", "scipy"]
+
+    def counts():
+        return {name: get() for name, (get, _) in libs.items()}
+
+    saved, seen = counts(), []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, real=real: (seen.append(counts()), real(a))[1])
+    try:
+        for _, set_ in libs.values():
+            set_(2)
+        assemble_covariance(C.measure, C.lattice, C.points[:4])
+        conditional_cov_screen(C, part)
+        with pytest.raises(InvariantViolation):
+            conditional_cov_screen(_with_band_value(C, part, -1.0), part)
+        with pytest.raises(ValueError):
+            conditional_cov_screen(_with_band_value(C, part, math.nan), part)
+        after = counts()
+    finally:
+        for name, (_, set_) in libs.items():
+            set_(saved[name])
+    assert seen == [{"numpy": 1, "scipy": 2}, {"numpy": 1, "scipy": 1}]
+    assert after == {"numpy": 2, "scipy": 2}
 
 
 def test_band_width_study_contract():

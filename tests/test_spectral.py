@@ -197,7 +197,8 @@ def test_truncation_tail_warns_on_a_quadpack_error_code(monkeypatch):
         calls.append(args[1:])
         return 0.25, 1e-3, ier
 
-    monkeypatch.setattr(spectral, "_quadpack", lambda: SimpleNamespace(_qagie=qagie))
+    monkeypatch.setattr(spectral, "_scipy_extension",
+                        lambda *name: SimpleNamespace(_qagie=qagie))
     m = SpectralMeasure("bessel", 2.0, 1)
     ier = 5
     with pytest.warns(RuntimeWarning, match="ier=5"):
@@ -213,7 +214,7 @@ def test_missing_quadpack_module_is_an_import_error(monkeypatch):
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                         classmethod(lambda cls, name, path=None, target=None: None))
     with pytest.raises(ImportError, match=r"scipy\.integrate\._quadpack"):
-        spectral._quadpack.__wrapped__()
+        spectral._scipy_extension.__wrapped__("integrate", "_quadpack")
 
 
 def test_density_integrable_flag():
