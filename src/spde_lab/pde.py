@@ -33,8 +33,9 @@ from .bumps import mollifier, space_time_bump
 from .spectral import periodized_heat_kernel
 
 # Bytes per block of a chunked deterministic computation (the heat-kernel
-# values of a Riemann block of source times here, a norm-equivalence chunk
-# in rkhs): enough work to spread the per-call cost, few enough to stay in cache.
+# values of a Riemann block of distinct lags here, the white-noise draws of a
+# norm-equivalence chunk in rkhs): enough work to spread the per-call cost,
+# few enough to stay in cache.
 CHUNK_BYTES = 256 * 1024
 
 
@@ -136,6 +137,26 @@ class BumpSpec:
         return mollifier((t - self.t_center) / self.t_width) * mollifier(np.sqrt(r2))
 
 
+def _live_steps(bump: BumpSpec, n: int, extent, t_max: float, s_grid: np.ndarray) -> tuple:
+    """Level n's cell centers, flattened per axis, and its steps whose bump
+    values are not all zero, in step order: per step the live cells' indices
+    and bump values and the lags t_m - s to the times s of ``s_grid`` (sorted)
+    strictly below the right endpoint t_m."""
+    dt_c = t_max / n
+    centers = [(np.arange(n) + 0.5) * (L / n) for L in extent]
+    flat_x = [mm.ravel() for mm in np.meshgrid(*centers, indexing="ij")]
+    steps = []
+    for tm in (np.arange(n) + 1) * dt_c:
+        eta_vals = bump.value(tm, flat_x)  # (n^d,)
+        live = np.nonzero(eta_vals != 0.0)[0]
+        if live.size:
+            # a tolerance relative to t_max: an absolute one drops every s once
+            # t_max is small
+            n_src = np.searchsorted(s_grid, tm - 1e-12 * t_max)
+            steps.append((live, eta_vals[live], tm - s_grid[:n_src]))
+    return flat_x, steps
+
+
 def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) -> dict:
     """Convergence of right-endpoint Riemann sums of the backward convolution.
 
@@ -153,6 +174,12 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
     strictly.  This is the one place the heat kernel is evaluated pointwise
     in physical space.  The bump must lie inside [0, t_max] x [0, L]^d: the
     sums do not wrap it around the torus as the sampled reference does.
+
+    A level evaluates each kernel row G(t_m - s, x_m - .) once per distinct
+    lag t_m - s and set of live cells, in ascending blocks of lags of at most
+    CHUNK_BYTES of kernel values, and adds each step's rows in step order, so
+    its bytes are those of a loop over (step, source time) whatever the
+    block size.
     """
     levels = [int(n) for n in levels]
     if len(levels) < 3:
@@ -178,33 +205,40 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
 
     rows = []
     prev_err = None
+    n_y = math.prod(ref.n_space)
     for n in levels:
-        dt_c = t_max / n
-        cell_vol = dt_c * float(np.prod([L / n for L in extent]))
-        t_right = (np.arange(n) + 1) * dt_c
-        centers = [(np.arange(n) + 0.5) * (L / n) for L in extent]
-        flat_x = [mm.ravel() for mm in np.meshgrid(*centers, indexing="ij")]
+        cell_vol = t_max / n * float(np.prod([L / n for L in extent]))
+        flat_x, steps = _live_steps(bump, n, extent, t_max, s_grid)
+        # each live set's offsets x_m - y, (1, n_live, ...) against ref.n_space
+        live_sets = {live.tobytes(): live for live, *_ in steps}
+        offsets = [[x[live].reshape((1, -1) + (1,) * d) - y for x, y in zip(flat_x, y_axes)]
+                   for live in live_sets.values()]
+        lags = np.sort(np.concatenate([np.empty(0)] + [lag for *_, lag in steps]))
+        distinct = np.ones(lags.size, dtype=bool)
+        distinct[1:] = lags[1:] != lags[:-1]
+        lags = lags[distinct]
+        keys = list(live_sets)
+        steps = [(keys.index(live.tobytes()), eta, np.searchsorted(lags, lag))
+                 for live, eta, lag in steps]
         approx = np.zeros_like(phi_ref_vals)
-        for m_t in range(n):
-            tm = t_right[m_t]
-            eta_vals = bump.value(tm, flat_x)  # (n^d,)
-            live = np.nonzero(eta_vals != 0.0)[0]
-            if live.size == 0:
-                continue
-            # s slices strictly below tm contribute
-            s_mask = s_grid < tm - 1e-12
-            s_act = s_grid[s_mask]
-            # diffs[ax]: (1, n_live, ...), broadcasting against ref.n_space
-            diffs = [x[live].reshape((1, -1) + (1,) * d) - y for x, y in zip(flat_x, y_axes)]
-            # one kernel call and one stacked product per block of source
-            # times; matmul gives each time's bytes of a per-time dot product
-            block = math.ceil(CHUNK_BYTES / (8 * live.size * math.prod(ref.n_space)))
-            contrib = np.zeros((s_act.size,) + ref.n_space)
-            for i in range(0, s_act.size, block):
-                lag = (tm - s_act[i:i + block]).reshape((-1,) + (1,) * (d + 1))
-                G = periodized_heat_kernel(lag, diffs, extent).reshape(len(lag), live.size, -1)
-                contrib[i:i + block] = np.matmul(eta_vals[live], G).reshape((-1,) + ref.n_space)
-            approx[s_mask] += cell_vol * contrib
+        # one kernel call per live set and ascending block of distinct lags,
+        # then per step one stacked matmul on the kernel rows it needs: a
+        # source row's lag grows with the step, so every (s, y) still adds its
+        # steps in step order, and matmul gives each row the bytes of a
+        # per-time dot product
+        n_live = sum(map(len, live_sets.values()))
+        block = math.ceil(CHUNK_BYTES / (8 * max(n_live, 1) * n_y))
+        for lo in range(0, lags.size, block):
+            hi = lo + block
+            lag = lags[lo:hi].reshape((-1,) + (1,) * (d + 1))
+            kernels = [periodized_heat_kernel(lag, diffs, extent).reshape(len(lag), -1, n_y)
+                       for diffs in offsets]
+            for k, eta, idx in steps:
+                # idx falls along the source rows: rows a:b have lags in the block
+                a, b = np.count_nonzero(idx >= hi), np.count_nonzero(idx >= lo)
+                if a < b:
+                    contrib = np.matmul(eta, kernels[k][idx[a:b] - lo])
+                    approx[a:b] += cell_vol * contrib.reshape((-1,) + ref.n_space)
         diff = Field(ref, Representation.PHYSICAL, (approx - phi_ref_vals).astype(np.complex128))
         err = norm0(diff, measure)
         order = float(np.log2(prev_err / err)) if prev_err is not None else float("nan")

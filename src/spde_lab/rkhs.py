@@ -232,17 +232,20 @@ def duality_check(a: RkhsElement, eta: Field) -> dict:
             "gap": float(gap), "scale": float(scale)}
 
 
-def _krylov_norms(H: np.ndarray, F1: np.ndarray, k: float,
-                  lat: SpaceTimeLattice, work=None) -> np.ndarray:
-    """||Lap h||_{L2(H^k)} + ||phi1||_{L2(H^k)} for stacks (c, n_time+1, *n_space)
-    of h and phi1's frequency values, by left-endpoint sums; terms go to ``work``."""
+def _krylov_weights(k: float, lat: SpaceTimeLattice) -> tuple:
+    """The H^k weights (1 + |xi|^2)^k |xi|^4 of Lap h and (1 + |xi|^2)^k of phi1."""
     w = (1.0 + lat.xi_squared) ** k
-    total = 0.0
-    for X, w_x in ((H, w * lat.xi_squared ** 2), (F1, w)):
-        terms = np.square(np.abs(X[:, :-1], out=work), out=work)
-        part = np.sum(np.multiply(terms, w_x, out=terms), axis=tuple(range(1, lat.dim + 2)))
-        total = total + np.sqrt(np.maximum(part * lat.dt * lat.freq_cell_volume, 0.0))
-    return total
+    return w * lat.xi_squared ** 2, w
+
+
+def _weighted_norms(X: np.ndarray, weight: np.ndarray, lat: SpaceTimeLattice,
+                    work=None) -> np.ndarray:
+    """One half of the parabolic norm, sqrt(sum_k |X|^2 weight dt dxi^d) by
+    left-endpoint sums, for a stack (c, n_time+1, *n_space) of frequency
+    values; terms go to ``work``."""
+    terms = np.square(np.abs(X[:, :-1], out=work), out=work)
+    part = np.sum(np.multiply(terms, weight, out=terms), axis=tuple(range(1, lat.dim + 2)))
+    return np.sqrt(np.maximum(part * lat.dt * lat.freq_cell_volume, 0.0))
 
 
 def krylov_norm(a: RkhsElement) -> float:
@@ -254,8 +257,10 @@ def krylov_norm(a: RkhsElement) -> float:
     m = a.measure
     if m.family is not Family.BESSEL or not markov_guarantee(m):
         raise ValueError("krylov_norm requires a Bessel measure with even order")
+    lat = a.h.lattice
+    w_h, w_f1 = _krylov_weights(m.alpha / 2.0, lat)
     H, F1 = (forward_transform(f).values[None] for f in (a.h, a.phi1))
-    return float(_krylov_norms(H, F1, m.alpha / 2.0, a.h.lattice)[0])
+    return float(_weighted_norms(H, w_h, lat)[0] + _weighted_norms(F1, w_f1, lat)[0])
 
 
 # Largest accepted max/min norm ratio: a frozen regression constant, not a
@@ -271,10 +276,13 @@ def norm_equivalence_study(samples: int, measure: SpectralMeasure,
     norm of phi).  Reports the min/max ratio; a spread beyond SPREAD_BOUND
     raises InvariantViolation.
 
-    The samples run in chunks along a leading sample axis.  The white noise
-    is drawn in sample order and every operation keeps its per-sample order,
-    so each ratio equals random_band_limited, representer and
-    krylov_norm / norm for that sample byte for byte, whatever the chunk size.
+    The samples run in chunks along a leading sample axis, CHUNK_BYTES of
+    white-noise draws each, worked in place in two complex stacks: phi, then
+    Phi and its covariance norm, F1 = F phi1 and its half of the parabolic
+    norm, and last H and its half.  The white noise is drawn in sample order
+    and every operation keeps its per-sample order, so each ratio equals
+    random_band_limited, representer and krylov_norm / norm for that sample
+    byte for byte, whatever the chunk size.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for the spread estimate")
@@ -282,25 +290,26 @@ def norm_equivalence_study(samples: int, measure: SpectralMeasure,
         raise ValueError("norm equivalence study needs a Bessel measure of even order")
     rng = np.random.default_rng(seed)
     shape = lattice.shape
-    chunk = min(samples, math.ceil(CHUNK_BYTES / (16 * math.prod(shape))))
+    chunk = min(samples, math.ceil(CHUNK_BYTES / (8 * math.prod(shape))))
     g = _grid_density(measure, lattice)
+    w_h, w_f1 = _krylov_weights(measure.alpha / 2.0, lattice)
     ratios = np.zeros(samples)
     # buffers for every chunk: fresh ones (above glibc's mmap threshold) fault
-    white, stacks = np.empty((chunk,) + shape), np.empty((4, chunk) + shape, complex)
+    white, stacks = np.empty((chunk,) + shape), np.empty((2, chunk) + shape, complex)
     for start in range(0, samples, chunk):
         c = min(chunk, samples - start)
-        phi, Phi, F1, H = stacks[:, :c]
-        band_limit(rng.standard_normal(out=white[:c]), lattice, out=phi)
-        spectral_transform(phi, lattice, out=Phi)
-        spectral_transform(np.multiply(Phi, g, out=F1), lattice, inverse=True, out=F1)
-        spectral_transform(F1, lattice, out=F1)
-        lattice.march(np.multiply(lattice.duhamel_weight, F1, out=phi), out=H)
-        spectral_transform(H, lattice, inverse=True, out=H)  # h, then its transform
-        spectral_transform(H, lattice, out=H)
-        # the spent white noise and increments hold the terms of the sums
-        krylov = _krylov_norms(H, F1, measure.alpha / 2.0, lattice, white[:c, :-1])
-        pairs = pair_stacks(Phi, Phi, measure, lattice, phi[:, :-1])
-        denom = np.sqrt(np.maximum(pairs.real, 0.0))
+        A, B = stacks[:, :c]
+        terms = white[:c, :-1]  # the spent white noise holds the terms of the norm sums
+        band_limit(rng.standard_normal(out=white[:c]), lattice, out=A)  # phi
+        spectral_transform(A, lattice, out=B)
+        denom = np.sqrt(np.maximum(pair_stacks(B, B, measure, lattice, A[:, :-1]).real, 0.0))
+        spectral_transform(np.multiply(B, g, out=B), lattice, inverse=True, out=B)  # phi1
+        spectral_transform(B, lattice, out=B)
+        f1_norms = _weighted_norms(B, w_f1, lattice, terms)
+        lattice.march(np.multiply(lattice.duhamel_weight, B, out=A), out=B)
+        spectral_transform(B, lattice, inverse=True, out=B)  # h, then its transform
+        spectral_transform(B, lattice, out=B)
+        krylov = _weighted_norms(B, w_h, lattice, terms) + f1_norms
         ratios[start:start + c] = np.divide(krylov, denom, out=np.full(c, np.nan),
                                             where=denom > 0)
     report = {"ratio_min": float(np.nanmin(ratios)),

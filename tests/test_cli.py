@@ -442,18 +442,18 @@ def test_mc_outputs_do_not_depend_on_blas_threads(tmp_path):
 
 
 # Imports spde_lab and its CLI, runs the riemann config of PINNED_TREES (whose
-# report carries the truncation tail) and its markov config (band screens),
-# then prints the tail, the band widths screened and the scipy subpackages
-# that were loaded.
+# report carries the truncation tail), its markov config (band screens) and
+# its rkhs config (the norm-equivalence chunks), then prints the tail, the
+# band widths screened and the heavy modules that were loaded.
 _IMPORT_CHILD = """
 import json, sys
 import spde_lab, spde_lab.cli
-for command in ("riemann", "markov"):
+for command in ("riemann", "markov", "rkhs"):
     assert spde_lab.cli.main([command, "--config", command + ".yaml", "--quiet"]) == 0
 tail = json.load(open("riemann_out/riemann_report.json"))["truncation_tail"]
 rows = json.load(open("markov_out/markov_report.json"))["rows"]
 heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse",
-         "scipy.linalg")
+         "scipy.linalg", "numpy.ma")
 print(json.dumps([tail, len(rows), [m for m in heavy if m in sys.modules]]))
 """
 
@@ -461,8 +461,9 @@ print(json.dumps([tail, len(rows), [m for m in heavy if m in sys.modules]]))
 def test_cli_run_loads_no_heavy_scipy_subpackage(tmp_path):
     """The truncation tail loads QUADPACK's compiled module alone and the band
     screen LAPACK's, so a CLI run never imports scipy.integrate, scipy.linalg
-    or what they would bring along."""
-    for command in ("riemann", "markov"):
+    or what they would bring along.  Nor does any command import numpy.ma,
+    which np.unique loads on its first call (0.9 MB of resident memory)."""
+    for command in ("riemann", "markov", "rkhs"):
         _write_cfg(tmp_path / f"{command}.yaml",
                    _base_cfg(f"{command}_out", **PINNED_TREES[command][0]))
     run = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], cwd=tmp_path,

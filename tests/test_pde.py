@@ -186,6 +186,117 @@ def test_riemann_study_bytes_do_not_depend_on_the_block_size(d, monkeypatch):
         assert h.hexdigest() == _RIEMANN_PINNED[d]
 
 
+def test_riemann_kernel_rows_are_evaluated_once_per_distinct_lag(monkeypatch):
+    """On the benchmark's Riemann config each (level, live set, lag) gets one
+    kernel row: 298 rows in all, where a row per (step, source time) made 4,288."""
+    seen = []
+    kernel = pde.periodized_heat_kernel
+    def counting(t, diffs, extent):
+        seen.extend((diffs[0].tobytes(), lag) for lag in t.ravel().tolist())
+        return kernel(t, diffs, extent)
+    monkeypatch.setattr(pde, "periodized_heat_kernel", counting)
+    bump = BumpSpec(t_center=0.5, t_width=0.3, x_center=(4.0,), x_width=(1.0,))
+    riemann_convergence_study(SpectralMeasure("bessel", 2.0, 1), bump, [16, 32, 64],
+                              (8.0,), 1.0)
+    assert len(seen) == 298
+    assert len(set(seen)) == len(seen)  # the offsets name the level and live set
+
+
+def _reference_study_fields(measure, bump, levels, extent, t_max):
+    """phi_n - phi per level by a loop over (step, source time): one kernel
+    call and one per-time product per pair, added in step order; also each
+    level's live sets."""
+    d = len(extent)
+    n_ref = 2 * levels[-1]
+    ref = SpaceTimeLattice(d, tuple(extent), (n_ref,) * d, t_max, n_ref)
+    phi_ref = solve_backward(bump.sample(ref)).values.real
+    s_grid, y_axes = ref.times(), ref.space_axes()
+    fields, live_sets = [], []
+    for n in levels:
+        dt_c = t_max / n
+        cell_vol = dt_c * float(np.prod([L / n for L in extent]))
+        centers = [(np.arange(n) + 0.5) * (L / n) for L in extent]
+        flat_x = [mm.ravel() for mm in np.meshgrid(*centers, indexing="ij")]
+        approx = np.zeros_like(phi_ref)
+        sets = set()
+        for tm in (np.arange(n) + 1) * dt_c:
+            eta = bump.value(tm, flat_x)
+            live = np.nonzero(eta != 0.0)[0]
+            if live.size == 0:
+                continue
+            sets.add(live.tobytes())
+            diffs = [x[live].reshape((-1,) + (1,) * d) - y for x, y in zip(flat_x, y_axes)]
+            for j in np.nonzero(s_grid < tm - 1e-12 * t_max)[0]:
+                G = pde.periodized_heat_kernel(np.asarray(tm - s_grid[j]), diffs, extent)
+                approx[j] += cell_vol * np.tensordot(eta[live], G, axes=(0, 0))
+        fields.append((approx - phi_ref).astype(np.complex128))
+        live_sets.append(len(sets))
+    return fields, live_sets
+
+
+_UNPINNED_RIEMANN_CASES = {
+    # lags t_m - s of different steps round apart, so they collide only partly
+    "non_dyadic": (SpectralMeasure("bessel", 2.0, 1),
+                   BumpSpec(t_center=0.35, t_width=0.2, x_center=(np.pi,), x_width=(1.2,)),
+                   [6, 12, 16], (2.0 * np.pi,), 0.7),
+    # the bump's spatial factor is 1e-323 at level 16's cells x = 3.25 and
+    # 4.75, so their values underflow on its first and last live steps only,
+    # where the time factor is 0.1
+    "live_sets_differ": (SpectralMeasure("bessel", 2.0, 1),
+                         BumpSpec(t_center=0.5, t_width=0.3, x_center=(4.0,),
+                                  x_width=(0.750504,)),
+                         [8, 16, 32], (8.0,), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNPINNED_RIEMANN_CASES))
+def test_riemann_study_matches_the_per_source_time_reference(case, monkeypatch):
+    """At one lag per block, the default blocks and one block per level the
+    error fields phi_n - phi, which the errors reduce, equal those of the
+    (step, source time) loop byte for byte, on configs the pins do not cover."""
+    measure, bump, levels, extent, t_max = _UNPINNED_RIEMANN_CASES[case]
+    ref_fields, live_sets = _reference_study_fields(measure, bump, levels, extent, t_max)
+    assert (max(live_sets) > 1) == (case == "live_sets_differ")
+    captured = []
+    norm0 = pde.norm0
+    monkeypatch.setattr(pde, "norm0",
+                        lambda f, m: captured.append(f.values.copy()) or norm0(f, m))
+    for chunk_bytes in (1, pde.CHUNK_BYTES, 1 << 40):
+        monkeypatch.setattr(pde, "CHUNK_BYTES", chunk_bytes)
+        riemann_convergence_study(measure, bump, levels, extent, t_max)
+        assert [f.tobytes() for f in captured] == [f.tobytes() for f in ref_fields]
+        captured.clear()
+
+
+def test_riemann_source_time_cutoff_is_relative_to_t_max(monkeypatch):
+    """At t_max = 1e-13 (bump times scaled with it) the study pairs the same
+    steps with the same source times as at t_max = 1.  In a box scaled by
+    sqrt(t_max) too, the white-noise errors relative to ||phi||_0 equal
+    those at t_max = 1, all below 1, the relative error of an empty sum."""
+    pairs = {}
+    live_steps = pde._live_steps
+    def recording(bump, n, extent, t_max, s_grid):
+        flat_x, steps = live_steps(bump, n, extent, t_max, s_grid)
+        pairs.setdefault((t_max, extent[0]), []).append(
+            [(live.tobytes(), lag.size) for live, _, lag in steps])
+        return flat_x, steps
+    monkeypatch.setattr(pde, "_live_steps", recording)
+    measure = SpectralMeasure("white", 1.0, 1)
+    relative = {}
+    for t_max, box in ((1.0, 1.0), (1e-13, 1.0), (1e-13, np.sqrt(1e-13))):
+        bump = BumpSpec(t_center=0.5 * t_max, t_width=0.3 * t_max, x_center=(4.0 * box,),
+                        x_width=(1.0 * box,))
+        study = riemann_convergence_study(measure, bump, [8, 16, 32], (8.0 * box,), t_max)
+        ref = SpaceTimeLattice(1, (8.0 * box,), (64,), t_max, 64)
+        phi_norm = pde.norm0(solve_backward(bump.sample(ref)), measure)
+        relative[t_max, box] = [r["norm0_error"] / phi_norm for r in study["rows"]]
+    assert all(len(level) > 0 for level in pairs[1.0, 8.0])
+    assert pairs[1e-13, 8.0] == pairs[1.0, 8.0]
+    scaled = relative[1e-13, np.sqrt(1e-13)]
+    np.testing.assert_allclose(scaled, relative[1.0, 1.0], rtol=1e-12)
+    assert max(scaled) < 1.0
+
+
 def test_riemann_study_needs_three_levels():
     meas = SpectralMeasure("bessel", 2.0, 1)
     bump = BumpSpec(t_center=0.5, t_width=0.3, x_center=(4.0,), x_width=(1.0,))
