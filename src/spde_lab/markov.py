@@ -35,9 +35,9 @@ from .bumps import _cutoff_values, support_mask
 from .errors import InvariantViolation
 from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
                       _physical_points, inverse_transform)
-from .rkhs import (RkhsElement, element_from_h, heat_column, krylov_norm, rkhs_inner,
-                   rkhs_inner_raw)
-from .spectral import Family, SpectralMeasure, _scipy_extension
+from .rkhs import (RkhsElement, _even_bessel, element_from_h, heat_column, krylov_norm,
+                   rkhs_inner, rkhs_inner_raw)
+from .spectral import SpectralMeasure, _scipy_extension
 
 
 @contextlib.contextmanager
@@ -327,7 +327,7 @@ def kunsch_decomposition(measure: SpectralMeasure, zeta: RkhsElement,
     nb2 = rkhs_inner(b, b)
     cross = rkhs_inner(a, b)
     kn = float("nan")
-    if measure.family is Family.BESSEL and a.markov_guarantee:
+    if _even_bessel(measure):
         kn = krylov_norm(a)
         if not math.isfinite(kn):
             raise InvariantViolation("parabolic norm of the cut part is not finite")

@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .lattice import (Field, Representation, SpaceTimeLattice, forward_transform,
-                      inverse_transform, norm0, refine_field)
+from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
+                      _is_power_of_two, forward_transform, inverse_transform, norm0,
+                      refine_field)
 from .bumps import mollifier, space_time_bump
 from .spectral import periodized_heat_kernel
 
@@ -138,23 +140,24 @@ class BumpSpec:
 
 
 def _live_steps(bump: BumpSpec, n: int, extent, t_max: float, s_grid: np.ndarray) -> tuple:
-    """Level n's cell centers, flattened per axis, and its steps whose bump
-    values are not all zero, in step order: per step the live cells' indices
-    and bump values and the lags t_m - s to the times s of ``s_grid`` (sorted)
-    strictly below the right endpoint t_m."""
-    dt_c = t_max / n
+    """Level n's live cells (bump value not zero at some step) as per-axis
+    center coordinates, and its steps with a live cell, in step order: per step
+    the positions among the live cells of its nonzero ones, their bump values,
+    and the lags t_m - s to the times s of ``s_grid`` (sorted) below t_m."""
     centers = [(np.arange(n) + 0.5) * (L / n) for L in extent]
     flat_x = [mm.ravel() for mm in np.meshgrid(*centers, indexing="ij")]
+    times = (np.arange(n) + 1) * (t_max / n)
+    eta = bump.value(times[:, None], flat_x)  # (steps, n^d cells)
+    cells = np.flatnonzero(eta.any(axis=0))
     steps = []
-    for tm in (np.arange(n) + 1) * dt_c:
-        eta_vals = bump.value(tm, flat_x)  # (n^d,)
-        live = np.nonzero(eta_vals != 0.0)[0]
-        if live.size:
+    for tm, vals in zip(times, eta[:, cells]):
+        own = np.flatnonzero(vals)
+        if own.size:
             # a tolerance relative to t_max: an absolute one drops every s once
             # t_max is small
             n_src = np.searchsorted(s_grid, tm - 1e-12 * t_max)
-            steps.append((live, eta_vals[live], tm - s_grid[:n_src]))
-    return flat_x, steps
+            steps.append((own, vals[own], tm - s_grid[:n_src]))
+    return [x[cells] for x in flat_x], steps
 
 
 def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) -> dict:
@@ -172,20 +175,26 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
     also lives.  Tabulates ||phi_n - phi||_0 per level plus the observed
     order between consecutive levels; the error column must decrease
     strictly.  This is the one place the heat kernel is evaluated pointwise
-    in physical space.  The bump must lie inside [0, t_max] x [0, L]^d: the
-    sums do not wrap it around the torus as the sampled reference does.
+    in physical space.  Before any sum it checks that the levels are at least
+    3 strictly increasing positive integers, the last a power of two; that the
+    measure's dimension is the box's; and that the bump lies inside [0, t_max]
+    x [0, L]^d: the sums do not wrap it around the torus as the reference does.
 
     A level evaluates each kernel row G(t_m - s, x_m - .) once per distinct
-    lag t_m - s and set of live cells, in ascending blocks of lags of at most
-    CHUNK_BYTES of kernel values, and adds each step's rows in step order, so
-    its bytes are those of a loop over (step, source time) whatever the
-    block size.
+    lag t_m - s, over the cells live at some step, in ascending blocks of
+    lags of at most CHUNK_BYTES of kernel values, and adds each step's rows
+    over its own cells in step order, so its bytes are those of a loop over
+    (step, source time) whatever the block size.
     """
+    levels = list(levels)
+    if not (len(levels) >= 3 and all(isinstance(n, Integral) and n >= 1 for n in levels)
+            and all(b > a for a, b in zip(levels, levels[1:]))):
+        raise ValueError(f"levels must be at least 3 strictly increasing positive "
+                         f"integers, got {levels}")
     levels = [int(n) for n in levels]
-    if len(levels) < 3:
-        raise ValueError("need at least 3 refinement levels")
-    if any(b >= a for a, b in zip(levels[1:], levels)):
-        raise ValueError("levels must be strictly increasing")
+    if not _is_power_of_two(levels[-1]):
+        raise ValueError(f"levels must end in a power of two: the reference lattice "
+                         f"has 2 x levels[-1] sites, got {levels}")
     d = len(extent)
     mids, halves = (bump.t_center, *bump.x_center), (bump.t_width, *bump.x_width)
     if not (len(mids) == len(halves) == d + 1 and all(
@@ -194,11 +203,11 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
                          f"{tuple(extent)}")
     n_ref = levels[-1] * 2
     ref = SpaceTimeLattice(d, tuple(extent), (n_ref,) * d, t_max, n_ref)
+    _grid_density(measure, ref)  # refuses a measure of another dimension
     eta_ref = bump.sample(ref)
     if not np.any(eta_ref.values):
         raise ValueError(f"{bump} is zero at every point of the {n_ref}-step reference lattice")
-    phi_ref = solve_backward(eta_ref)
-    phi_ref_vals = phi_ref.values.real
+    phi_ref_vals = solve_backward(eta_ref).values.real
 
     s_grid = ref.times()  # (n_t+1,)
     y_axes = ref.space_axes()
@@ -208,36 +217,29 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
     n_y = math.prod(ref.n_space)
     for n in levels:
         cell_vol = t_max / n * float(np.prod([L / n for L in extent]))
-        flat_x, steps = _live_steps(bump, n, extent, t_max, s_grid)
-        # each live set's offsets x_m - y, (1, n_live, ...) against ref.n_space
-        live_sets = {live.tobytes(): live for live, *_ in steps}
-        offsets = [[x[live].reshape((1, -1) + (1,) * d) - y for x, y in zip(flat_x, y_axes)]
-                   for live in live_sets.values()]
+        live_x, steps = _live_steps(bump, n, extent, t_max, s_grid)
+        # the live cells' offsets x_m - y, (1, n_live, ...) against ref.n_space
+        offsets = [x.reshape((1, -1) + (1,) * d) - y for x, y in zip(live_x, y_axes)]
         lags = np.sort(np.concatenate([np.empty(0)] + [lag for *_, lag in steps]))
         distinct = np.ones(lags.size, dtype=bool)
         distinct[1:] = lags[1:] != lags[:-1]
         lags = lags[distinct]
-        keys = list(live_sets)
-        steps = [(keys.index(live.tobytes()), eta, np.searchsorted(lags, lag))
-                 for live, eta, lag in steps]
+        steps = [(own, eta, np.searchsorted(lags, lag)) for own, eta, lag in steps]
         approx = np.zeros_like(phi_ref_vals)
-        # one kernel call per live set and ascending block of distinct lags,
-        # then per step one stacked matmul on the kernel rows it needs: a
-        # source row's lag grows with the step, so every (s, y) still adds its
-        # steps in step order, and matmul gives each row the bytes of a
-        # per-time dot product
-        n_live = sum(map(len, live_sets.values()))
-        block = math.ceil(CHUNK_BYTES / (8 * max(n_live, 1) * n_y))
+        # one kernel call per ascending block of distinct lags, then per step
+        # one stacked matmul on the kernel rows and cells it needs: a source
+        # row's lag grows with the step, so every (s, y) adds its steps in step
+        # order, and matmul gives each row the bytes of a per-time dot product
+        block = math.ceil(CHUNK_BYTES / (8 * max(live_x[0].size, 1) * n_y))
         for lo in range(0, lags.size, block):
             hi = lo + block
             lag = lags[lo:hi].reshape((-1,) + (1,) * (d + 1))
-            kernels = [periodized_heat_kernel(lag, diffs, extent).reshape(len(lag), -1, n_y)
-                       for diffs in offsets]
-            for k, eta, idx in steps:
+            kernel = periodized_heat_kernel(lag, offsets, extent).reshape(len(lag), -1, n_y)
+            for own, eta, idx in steps:
                 # idx falls along the source rows: rows a:b have lags in the block
                 a, b = np.count_nonzero(idx >= hi), np.count_nonzero(idx >= lo)
                 if a < b:
-                    contrib = np.matmul(eta, kernels[k][idx[a:b] - lo])
+                    contrib = np.matmul(eta, kernel[np.ix_(idx[a:b] - lo, own)])
                     approx[a:b] += cell_vol * contrib.reshape((-1,) + ref.n_space)
         diff = Field(ref, Representation.PHYSICAL, (approx - phi_ref_vals).astype(np.complex128))
         err = norm0(diff, measure)

@@ -232,9 +232,17 @@ def duality_check(a: RkhsElement, eta: Field) -> dict:
             "gap": float(gap), "scale": float(scale)}
 
 
-def _krylov_weights(k: float, lat: SpaceTimeLattice) -> tuple:
-    """The H^k weights (1 + |xi|^2)^k |xi|^4 of Lap h and (1 + |xi|^2)^k of phi1."""
-    w = (1.0 + lat.xi_squared) ** k
+def _even_bessel(measure: SpectralMeasure) -> bool:
+    """Bessel of even order alpha = 2k, k >= 1: its elements have a parabolic norm."""
+    return measure.family is Family.BESSEL and markov_guarantee(measure)
+
+
+def _krylov_weights(measure: SpectralMeasure, lat: SpaceTimeLattice) -> tuple:
+    """The H^k weights (1 + |xi|^2)^k |xi|^4 of Lap h and (1 + |xi|^2)^k of
+    phi1, k = alpha/2; refuses a measure that is not an even-order Bessel one."""
+    if not _even_bessel(measure):
+        raise ValueError("the parabolic norm needs a Bessel measure of even order")
+    w = (1.0 + lat.xi_squared) ** (measure.alpha / 2.0)
     return w * lat.xi_squared ** 2, w
 
 
@@ -254,11 +262,8 @@ def krylov_norm(a: RkhsElement) -> float:
     Defined for the Bessel family with alpha a positive even integer, where
     the element lives in the heat-regularity space of order k + 2.
     """
-    m = a.measure
-    if m.family is not Family.BESSEL or not markov_guarantee(m):
-        raise ValueError("krylov_norm requires a Bessel measure with even order")
     lat = a.h.lattice
-    w_h, w_f1 = _krylov_weights(m.alpha / 2.0, lat)
+    w_h, w_f1 = _krylov_weights(a.measure, lat)
     H, F1 = (forward_transform(f).values[None] for f in (a.h, a.phi1))
     return float(_weighted_norms(H, w_h, lat)[0] + _weighted_norms(F1, w_f1, lat)[0])
 
@@ -286,13 +291,11 @@ def norm_equivalence_study(samples: int, measure: SpectralMeasure,
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for the spread estimate")
-    if measure.family is not Family.BESSEL or not markov_guarantee(measure):
-        raise ValueError("norm equivalence study needs a Bessel measure of even order")
+    w_h, w_f1 = _krylov_weights(measure, lattice)
     rng = np.random.default_rng(seed)
     shape = lattice.shape
     chunk = min(samples, math.ceil(CHUNK_BYTES / (8 * math.prod(shape))))
     g = _grid_density(measure, lattice)
-    w_h, w_f1 = _krylov_weights(measure.alpha / 2.0, lattice)
     ratios = np.zeros(samples)
     # buffers for every chunk: fresh ones (above glibc's mmap threshold) fault
     white, stacks = np.empty((chunk,) + shape), np.empty((2, chunk) + shape, complex)

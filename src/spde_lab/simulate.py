@@ -275,6 +275,8 @@ class PathEnsemble:
             if manifest["format"] != "spde-lab-ensemble-1":
                 raise ValueError(f"unknown ensemble format {manifest['format']!r}")
             files = [(e["name"], e["sha256"]) for e in manifest["files"]]
+            if bad := [n for n, _ in files if n in ("", ".", "..") or Path(n).name != n]:
+                raise ValueError(f"manifest file name {bad[0]!r} is not a plain file name")
             n_paths, seed, rng_id = (manifest[k] for k in ("n_paths", "seed", "rng_id"))
             if bad := [k for k in ("n_paths", "seed") if type(manifest[k]) is not int]:
                 raise ValueError(f"manifest {bad[0]} must be an integer, "
@@ -284,12 +286,12 @@ class PathEnsemble:
             measure = SpectralMeasure(m["family"], m["alpha"], m["dim"], m["formal"])
         except KeyError as exc:
             raise ValueError(f"manifest is missing key {exc}") from None
+        except TypeError as exc:  # e.g. a list or a number where a mapping belongs
+            raise ValueError(f"malformed manifest: {exc}") from None
         if len(files) != n_paths:
             raise ValueError(f"manifest lists {len(files)} files for {n_paths} paths")
         values = np.zeros((n_paths,) + lat.shape)
         for i, (name, sha256) in enumerate(files):
-            if name in ("", ".", "..") or Path(name).name != name:
-                raise ValueError(f"manifest file name {name!r} is not a plain file name")
             blob = (directory / name).read_bytes()
             if hashlib.sha256(blob).hexdigest() != sha256:
                 raise ValueError(f"checksum mismatch for {name}")

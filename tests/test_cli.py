@@ -135,7 +135,6 @@ _RIEMANN = {"levels": [8, 16, 32], "extent": [8.0], "t_max": 1.0}
     ("riemann", {"riemann": {**_RIEMANN, "levels": [8, 16]}}),
     ("riemann", {"riemann": {**_RIEMANN, "levels": [16, 8, 32]}}),
     ("riemann", {"riemann": {**_RIEMANN, "levels": ["a", "b", "c"]}}),
-    ("riemann", {"riemann": {**_RIEMANN, "levels": [10, 20, 30]}}),
     ("riemann", {"riemann": {**_RIEMANN, "bump": {"t_width": "x"}}}),
     ("riemann", {"riemann": {**_RIEMANN, "bump": {"x_center": [4.0, 100.0]}}}),
     ("markov", {"markov": {**_MARKOV, "band_widths": [0]}}),
@@ -145,6 +144,12 @@ _RIEMANN = {"levels": [8, 16, 32], "extent": [8.0], "t_max": 1.0}
                     "covariance": {"n_points": 2, "n_paths": 2}}),
     ("markov", {"measure": {"family": "bessel", "alpha": 2.0, "dim": 2},
                 "markov": _MARKOV}),
+    ("riemann", {"riemann": {**_RIEMANN, "levels": [10, 20, 30]}}),
+    # the lattice is checked, not used: the study's box is riemann.extent
+    ("riemann", {"measure": {"family": "bessel", "alpha": 2.0, "dim": 2},
+                 "lattice": {"dim": 2, "extent": [4.0, 4.0], "n_space": [16, 16],
+                             "t_max": 0.5, "n_time": 16},
+                 "riemann": _RIEMANN}),
 ], ids=["time_stride_0", "space_stride_0", "covariance_paths_-3",
         "covariance_paths_1", "covariance_points_0", "rkhs_samples_50",
         "sample_paths_0", "riemann_x_width_0",
@@ -156,7 +161,8 @@ _RIEMANN = {"levels": [8, 16, 32], "extent": [8.0], "t_max": 1.0}
         "riemann_levels_text", "riemann_t_width_text",
         "riemann_x_center_extra", "band_widths_0", "oracle_refine_3",
         "rkhs_white_measure", "covariance_measure_dim_2",
-        "markov_measure_dim_2", "riemann_levels_last_not_power_of_two"])
+        "markov_measure_dim_2", "riemann_levels_last_not_power_of_two",
+        "riemann_measure_dim_2"])
 def test_bad_config_value_exit_1(tmp_path, capsys, command, section):
     cfg = {**_base_cfg(tmp_path / "out"), **section}
     (tmp_path / "file").write_text("")

@@ -186,20 +186,63 @@ def test_riemann_study_bytes_do_not_depend_on_the_block_size(d, monkeypatch):
         assert h.hexdigest() == _RIEMANN_PINNED[d]
 
 
-def test_riemann_kernel_rows_are_evaluated_once_per_distinct_lag(monkeypatch):
-    """On the benchmark's Riemann config each (level, live set, lag) gets one
-    kernel row: 298 rows in all, where a row per (step, source time) made 4,288."""
-    seen = []
+def _counting_kernel(monkeypatch) -> list:
+    """Patch the study's heat kernel to record (offsets, lag) per row it makes;
+    returns the list of calls, each a list of rows."""
+    calls = []
     kernel = pde.periodized_heat_kernel
     def counting(t, diffs, extent):
-        seen.extend((diffs[0].tobytes(), lag) for lag in t.ravel().tolist())
+        calls.append([(diffs[0].tobytes(), lag) for lag in t.ravel().tolist()])
         return kernel(t, diffs, extent)
     monkeypatch.setattr(pde, "periodized_heat_kernel", counting)
+    return calls
+
+
+def test_riemann_kernel_rows_are_evaluated_once_per_distinct_lag(monkeypatch):
+    """On the benchmark's Riemann config each (level, lag) gets one kernel row:
+    298 rows in all, where a row per (step, source time) made 4,288."""
+    calls = _counting_kernel(monkeypatch)
     bump = BumpSpec(t_center=0.5, t_width=0.3, x_center=(4.0,), x_width=(1.0,))
     riemann_convergence_study(SpectralMeasure("bessel", 2.0, 1), bump, [16, 32, 64],
                               (8.0,), 1.0)
+    seen = [row for call in calls for row in call]
     assert len(seen) == 298
-    assert len(set(seen)) == len(seen)  # the offsets name the level and live set
+    assert len(set(seen)) == len(seen)  # the offsets name the level
+
+
+def test_riemann_steps_with_other_live_cells_share_their_level_rows(monkeypatch):
+    """Where a level's steps have different live cells, each (level, lag)
+    still gets one row: 146 rows in 3 calls, where a row per (level, live set,
+    lag) made 194 in 4."""
+    calls = _counting_kernel(monkeypatch)
+    measure, bump, levels, extent, t_max = _UNPINNED_RIEMANN_CASES["live_sets_differ"]
+    riemann_convergence_study(measure, bump, levels, extent, t_max)
+    seen = [row for call in calls for row in call]
+    assert (len(seen), len(calls)) == (146, 3)
+    assert len(set(seen)) == len(seen)
+
+
+_BAD_RIEMANN_INPUTS = {
+    "level_0": ([0, 8, 16], 1),
+    "level_negative": ([-4, 8, 16], 1),
+    "level_fractional": ([8.7, 16, 32], 1),
+    "last_level_not_power_of_two": ([10, 20, 30], 1),
+    "measure_of_another_dimension": ([8, 16, 32], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RIEMANN_INPUTS))
+def test_riemann_study_refuses_bad_inputs_before_any_kernel_call(case, monkeypatch):
+    """A level that is not a positive integer (0 would divide by zero, -4 and
+    8.7 gave a table), a last level off the powers of two and a measure of
+    another dimension than the box are refused before the first sum."""
+    levels, measure_dim = _BAD_RIEMANN_INPUTS[case]
+    calls = _counting_kernel(monkeypatch)
+    bump = BumpSpec(t_center=0.5, t_width=0.3, x_center=(4.0,), x_width=(1.0,))
+    with pytest.raises(ValueError):
+        riemann_convergence_study(SpectralMeasure("bessel", 2.0, measure_dim), bump,
+                                  levels, (8.0,), 1.0)
+    assert calls == []
 
 
 def _reference_study_fields(measure, bump, levels, extent, t_max):

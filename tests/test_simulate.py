@@ -387,9 +387,11 @@ def test_ensemble_load_decodes_the_bytes_it_verified(tmp_path, monkeypatch):
 
 
 def _edit_manifest(d, edit):
+    """Rewrite the manifest as ``edit`` leaves it, or as the list it returns."""
     manifest = json.loads((d / "manifest.json").read_text())
-    edit(manifest)
-    (d / "manifest.json").write_text(json.dumps(manifest))
+    replaced = edit(manifest)
+    (d / "manifest.json").write_text(
+        json.dumps(replaced if isinstance(replaced, list) else manifest))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -399,8 +401,12 @@ def _edit_manifest(d, edit):
     (lambda m: m.update(format="spde-lab-ensemble-2"), "unknown ensemble format"),
     (lambda m: m["lattice"].update(t_max=float("inf")), "must be finite"),
     (lambda m: m["measure"].update(alpha=float("nan")), "alpha must be finite"),
+    (lambda m: [m], "malformed manifest"),
+    (lambda m: m["lattice"].update(extent=8.0), "malformed manifest"),
+    (lambda m: m.update(files=["path_00000.fld", m["files"][1]]), "malformed manifest"),
+    (lambda m: m["measure"].update(alpha="2"), "malformed manifest"),
 ], ids=["top_key", "file_key", "lattice_key", "format", "non_finite_lattice",
-        "non_finite_alpha"])
+        "non_finite_alpha", "list", "scalar_extent", "file_entry_text", "alpha_text"])
 def test_ensemble_load_rejects_bad_manifest(tmp_path, edit, message):
     _, d = _saved(tmp_path)
     _edit_manifest(d, edit)
