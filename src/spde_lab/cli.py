@@ -31,7 +31,7 @@ import yaml
 
 from . import pde, rkhs, markov, simulate, spectral
 from .errors import DalangConditionError, InvariantViolation
-from .lattice import SpaceTimeLattice, _is_power_of_two, random_band_limited
+from .lattice import SpaceTimeLattice, _is_power_of_two, norm0, random_band_limited
 from .spectral import Family, SpectralMeasure
 
 
@@ -369,6 +369,13 @@ def cmd_riemann(cfg, measure, lattice, out, base):
     ref_lat = SpaceTimeLattice(len(extent), extent,
                                (study["reference"]["n_space"],) * len(extent),
                                t_max, study["reference"]["n_time"])
+    # sums that resolve the kernel beat the zero field, whose error is ||phi||_0
+    finest = study["rows"][-1]["norm0_error"]
+    phi_norm = norm0(pde.solve_backward(bump.sample(ref_lat)), measure)
+    if not finest < phi_norm:
+        raise InvariantViolation(
+            f"riemann study resolves nothing: the finest level's norm0_error "
+            f"{finest:.3e} is not below ||phi||_0 = {phi_norm:.3e}")
     return ({**_lattice_fields(measure, ref_lat), "levels": params["levels"],
              "rows": study["rows"], "monotone": study["monotone"],
              "min_observed_order": study["min_observed_order"]},

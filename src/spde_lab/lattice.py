@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from numbers import Integral
@@ -65,11 +65,15 @@ class SpaceTimeLattice:
     n_time: int
 
     def __post_init__(self):
-        if not all(isinstance(n, Integral) for n in (self.dim, self.n_time, *self.n_space)):
+        if not all(isinstance(n, Integral) and not isinstance(n, bool)
+                   for n in (self.dim, self.n_time, *self.n_space)):
             raise ValueError(f"dim, n_space and n_time must be integers, got "
                              f"{self.dim!r}, {self.n_space!r}, {self.n_time!r}")
-        object.__setattr__(self, "extent", tuple(float(L) for L in self.extent))
-        object.__setattr__(self, "n_space", tuple(int(n) for n in self.n_space))
+        for name, value in (("dim", int(self.dim)),
+                            ("extent", tuple(float(L) for L in self.extent)),
+                            ("n_space", tuple(int(n) for n in self.n_space)),
+                            ("t_max", float(self.t_max)), ("n_time", int(self.n_time))):
+            object.__setattr__(self, name, value)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if len(self.extent) != self.dim or len(self.n_space) != self.dim:
@@ -236,23 +240,11 @@ class SpaceTimeLattice:
         return (self.n_time + 1,) + self.n_space
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "extent": list(self.extent),
-            "n_space": list(self.n_space),
-            "t_max": float(self.t_max),
-            "n_time": int(self.n_time),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_dict(d: dict) -> "SpaceTimeLattice":
-        return SpaceTimeLattice(
-            dim=d["dim"],
-            extent=tuple(d["extent"]),
-            n_space=tuple(d["n_space"]),
-            t_max=float(d["t_max"]),
-            n_time=d["n_time"],
-        )
+        return SpaceTimeLattice(**{f.name: d[f.name] for f in fields(SpaceTimeLattice)})
 
 
 def _length(x) -> int:
@@ -328,6 +320,18 @@ def _finite_physical(f: Field) -> np.ndarray:
     if not np.isfinite(f.values).all():
         raise ValueError("field holds a non-finite value")
     return inverse_transform(f).values
+
+
+def _test_field(phi: Field, lattice: SpaceTimeLattice) -> None:
+    """Refuses a test field that is not a finite space-time field on
+    ``lattice`` with an imaginary part of at most 1e-12 max(1, max |phi|)."""
+    if not phi.space_time:
+        raise ValueError("test field must be a space-time field")
+    if phi.lattice != lattice:
+        raise ValueError("test field lives on a different lattice")
+    phys = _finite_physical(phi)
+    if float(np.abs(phys.imag).max()) > 1e-12 * max(1.0, float(np.abs(phys).max())):
+        raise ValueError("test field must be real")
 
 
 # -- transforms ---------------------------------------------------------------

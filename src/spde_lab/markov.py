@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import glob
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .bumps import _cutoff_values, support_mask
 from .errors import InvariantViolation
@@ -42,19 +40,18 @@ from .spectral import SpectralMeasure, _scipy_extension
 
 @contextlib.contextmanager
 def _one_blas_thread(*packages):
-    """Run on one thread of the OpenBLAS in each package's wheel (``<package>.libs``;
-    numpy's symbols end in 64_), restoring the old counts after, on exceptions
-    too: OpenBLAS's Cholesky and eigensolvers round differently at different
-    thread counts (its gemm does not).  No library there is an error."""
+    """Run on one thread of the OpenBLAS that each package's compiled LAPACK
+    module calls (numpy's symbols end in 64_), restoring the old counts after,
+    on exceptions too: OpenBLAS's Cholesky and eigensolvers round differently
+    at different thread counts (its gemm does not).  A module that does not
+    link one is an error."""
     libs = []
     for package in packages:
-        root = os.path.dirname(sys.modules[package].__path__[0])
-        paths = glob.glob(os.path.join(root, f"{package}.libs", "libscipy_openblas*"))
-        if not paths:
-            raise ImportError(f"no OpenBLAS library in {package}.libs")
-        lib = ctypes.CDLL(paths[0])  # already loaded: the same library
-        get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads"
-                             + ("64_" if package == "numpy" else "")) for op in ("get", "set"))
+        module, suffix = ((_umath_linalg, "64_") if package == "numpy"
+                          else (_scipy_extension("linalg", "_flapack"), ""))
+        lib = ctypes.CDLL(module.__file__)  # already loaded: its OpenBLAS is found too
+        get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}")
+                     for op in ("get", "set"))
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
         libs.append((get, set_))

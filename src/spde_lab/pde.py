@@ -28,9 +28,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
-                      _is_power_of_two, forward_transform, inverse_transform, norm0,
-                      refine_field)
+from .lattice import (Field, Representation, SpaceTimeLattice, _is_power_of_two,
+                      forward_transform, inverse_transform, norm0, refine_field)
 from .bumps import mollifier, space_time_bump
 from .spectral import periodized_heat_kernel
 
@@ -196,6 +195,9 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
         raise ValueError(f"levels must end in a power of two: the reference lattice "
                          f"has 2 x levels[-1] sites, got {levels}")
     d = len(extent)
+    if measure.dim != d:
+        raise ValueError(f"measure dim {measure.dim} != {d}, the length of extent "
+                         f"{tuple(extent)}")
     mids, halves = (bump.t_center, *bump.x_center), (bump.t_width, *bump.x_width)
     if not (len(mids) == len(halves) == d + 1 and all(
             0.0 <= c - w and c + w <= hi for c, w, hi in zip(mids, halves, (t_max, *extent)))):
@@ -203,7 +205,6 @@ def riemann_convergence_study(measure, bump: BumpSpec, levels, extent, t_max) ->
                          f"{tuple(extent)}")
     n_ref = levels[-1] * 2
     ref = SpaceTimeLattice(d, tuple(extent), (n_ref,) * d, t_max, n_ref)
-    _grid_density(measure, ref)  # refuses a measure of another dimension
     eta_ref = bump.sample(ref)
     if not np.any(eta_ref.values):
         raise ValueError(f"{bump} is zero at every point of the {n_ref}-step reference lattice")

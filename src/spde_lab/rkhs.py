@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
-                      apply_multiplier, band_limit, forward_transform, inner0,
+                      _test_field, apply_multiplier, band_limit, forward_transform, inner0,
                       inverse_transform, l2_inner, l2_norm, norm0, pair_stacks,
                       spectral_transform)
 from .pde import CHUNK_BYTES, solve_backward, solve_forward
@@ -84,11 +84,7 @@ def representer(phi: Field, measure: SpectralMeasure, check: bool = True) -> Rkh
     code path from the marching solver); relative disagreement beyond 1e-8
     raises InvariantViolation.
     """
-    if not phi.space_time:
-        raise ValueError("representer expects a space-time test field")
-    phys = inverse_transform(phi).values
-    if float(np.abs(phys.imag).max()) > 1e-12 * max(1.0, float(np.abs(phys).max())):
-        raise ValueError("test field must be real")
+    _test_field(phi, phi.lattice)
     g = _grid_density(measure, phi.lattice)
     phi1 = apply_multiplier(phi, lambda _: g)
     h = solve_forward(phi1)
@@ -211,8 +207,6 @@ def rkhs_inner(a: RkhsElement, b: RkhsElement) -> float:
     """<a, b> = inner0(a.phi, b.phi) under the shared measure."""
     if a.measure != b.measure:
         raise ValueError("elements carry different measures")
-    if a.phi.lattice != b.phi.lattice:
-        raise ValueError("elements live on different lattices")
     return rkhs_inner_raw(a.phi, b.phi, a.measure)
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DalangConditionError
 from .lattice import (Field, Representation, SpaceTimeLattice, _grid_density,
-                      decode_field, forward_transform, norm0, write_field)
+                      _test_field, decode_field, forward_transform, norm0, write_field)
 from .spectral import SpectralMeasure, dalang_condition
 
 STEP_BLOCK = 1 << 24
@@ -206,10 +206,7 @@ def _moments(products, n_paths: int) -> dict:
 def _integration_transforms(lat: SpaceTimeLattice, phis) -> np.ndarray:
     """Stacked transforms of test fields at t_0 .. t_{n_time-1}, (J, n_time, N)."""
     for phi in phis:
-        if not phi.space_time:
-            raise ValueError("test field must be a space-time field")
-        if phi.lattice != lat:
-            raise ValueError("test field lives on a different lattice")
+        _test_field(phi, lat)
     return np.stack([forward_transform(phi).values[:lat.n_time].reshape(
         lat.n_time, -1) for phi in phis])
 
@@ -281,9 +278,12 @@ class PathEnsemble:
             if bad := [k for k in ("n_paths", "seed") if type(manifest[k]) is not int]:
                 raise ValueError(f"manifest {bad[0]} must be an integer, "
                                  f"got {manifest[bad[0]]!r}")
+            if not isinstance(rng_id, str):
+                raise ValueError(f"manifest rng_id must be a string, got {rng_id!r}")
             lat = SpaceTimeLattice.from_dict(manifest["lattice"])
             m = manifest["measure"]
             measure = SpectralMeasure(m["family"], m["alpha"], m["dim"], m["formal"])
+            _grid_density(measure, lat)  # refuses a measure of another dimension
         except KeyError as exc:
             raise ValueError(f"manifest is missing key {exc}") from None
         except TypeError as exc:  # e.g. a list or a number where a mapping belongs

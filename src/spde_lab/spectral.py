@@ -67,7 +67,7 @@ class SpectralMeasure:
     def __post_init__(self):
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family(self.family))
-        if self.dim < 1 or int(self.dim) != self.dim:
+        if isinstance(self.dim, bool) or self.dim < 1 or int(self.dim) != self.dim:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
         a = self.alpha
         if not math.isfinite(a):

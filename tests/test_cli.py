@@ -106,6 +106,11 @@ def test_markov_rect_without_t_exit_1(tmp_path, capsys):
 
 _MARKOV = {"band_widths": [1], "rect": {"t": [0.125, 0.375], "x": [[1.0, 3.0]]}}
 _RIEMANN = {"levels": [8, 16, 32], "extent": [8.0], "t_max": 1.0}
+# the lattice is checked, not used: the study's box is riemann.extent
+_RIEMANN_DIM_2 = {"measure": {"family": "bessel", "alpha": 2.0, "dim": 2},
+                  "lattice": {"dim": 2, "extent": [4.0, 4.0], "n_space": [16, 16],
+                              "t_max": 0.5, "n_time": 16},
+                  "riemann": _RIEMANN}
 
 
 @pytest.mark.parametrize("command, section", [
@@ -145,11 +150,7 @@ _RIEMANN = {"levels": [8, 16, 32], "extent": [8.0], "t_max": 1.0}
     ("markov", {"measure": {"family": "bessel", "alpha": 2.0, "dim": 2},
                 "markov": _MARKOV}),
     ("riemann", {"riemann": {**_RIEMANN, "levels": [10, 20, 30]}}),
-    # the lattice is checked, not used: the study's box is riemann.extent
-    ("riemann", {"measure": {"family": "bessel", "alpha": 2.0, "dim": 2},
-                 "lattice": {"dim": 2, "extent": [4.0, 4.0], "n_space": [16, 16],
-                             "t_max": 0.5, "n_time": 16},
-                 "riemann": _RIEMANN}),
+    ("riemann", _RIEMANN_DIM_2),
 ], ids=["time_stride_0", "space_stride_0", "covariance_paths_-3",
         "covariance_paths_1", "covariance_points_0", "rkhs_samples_50",
         "sample_paths_0", "riemann_x_width_0",
@@ -341,6 +342,27 @@ def test_riemann_two_dimensional_exit_0(tmp_path, capsys):
     rows = json.loads((out / "riemann_report.json").read_text())["rows"]
     errs = [r["norm0_error"] for r in rows]
     assert len(errs) == 3 and all(b < a for a, b in zip(errs, errs[1:]))
+
+
+def test_riemann_dimension_refusal_names_extent(tmp_path, capsys):
+    """A 1-D riemann.extent under a 2-D measure and lattice: the key at fault
+    is extent, not a lattice of the config."""
+    path = _write_cfg(tmp_path / "c.yaml", {**_base_cfg(tmp_path / "out"), **_RIEMANN_DIM_2})
+    assert main(["riemann", "--config", path, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: measure dim 2 != 1, the length of extent (8.0,)")
+
+
+def test_riemann_that_resolves_nothing_exit_3(tmp_path, capsys):
+    """At t_max = 1e-13 the kernel (width sqrt(4 t_max) ~ 6e-7) is far below a
+    cell (0.25): the errors decrease, but each is ~1e6 times ||phi||_0, the
+    error of the zero field."""
+    cfg = _base_cfg(tmp_path / "out", riemann={**_RIEMANN, "t_max": 1.0e-13})
+    path = _write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["riemann", "--config", path, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failed: riemann study resolves nothing")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bump", [{"t_center": 5.0}, {"x_width": [20.0]},

@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import itertools
+import json
 import struct
 
 import numpy as np
@@ -82,6 +83,24 @@ def test_lattice_rejects_non_finite_sizes(extent, t_max):
 def test_lattice_rejects_non_integer_sizes(n_space, n_time):
     with pytest.raises(ValueError, match="must be integers"):
         SpaceTimeLattice(1, (8.0,), n_space, 1.0, n_time)
+
+
+@pytest.mark.parametrize("args", [(True, (8.0,), (16,), 1.0, 8), (1, (8.0,), (True,), 1.0, 8),
+                                  (1, (8.0,), (16,), 1.0, True)],
+                         ids=["dim", "n_space", "n_time"])
+def test_lattice_rejects_bool_sizes(args):
+    """True is an Integral, so it would pass as 1 and serialize as true."""
+    with pytest.raises(ValueError, match="must be integers"):
+        SpaceTimeLattice(*args)
+
+
+def test_lattice_dict_holds_plain_numbers():
+    """A lattice built from numpy scalars normalizes them, so its dict writes
+    plain JSON numbers."""
+    lat = SpaceTimeLattice(np.int64(1), (np.float32(8.0),), (np.int64(16),),
+                           np.float64(1.0), np.int32(8))
+    assert json.dumps(lat.to_dict()) == ('{"dim": 1, "extent": [8.0], "n_space": [16], '
+                                         '"t_max": 1.0, "n_time": 8}')
 
 
 def test_lattice_from_dict_rejects_non_integer_n_time():
@@ -492,3 +511,45 @@ def test_nan_field_is_refused(to, bad, space_time):
         f.real_values()
     with pytest.raises(ValueError, match="field holds a non-finite value"):
         support_mask(f)
+
+
+def _bad_test_fields(lat):
+    """One test field per refusal, each bad in one way only."""
+    rng = np.random.default_rng(3)
+    nan = random_band_limited(lat, rng)
+    nan.values[2, 5] = np.nan
+    other = SpaceTimeLattice(2, (8.0, 8.0), (16, 16), lat.t_max, lat.n_time)
+    return {
+        "nan": (nan, "field holds a non-finite value"),
+        "complex": (Field(lat, Representation.PHYSICAL, random_band_limited(lat, rng).values
+                          + 1j * random_band_limited(lat, rng).values),
+                    "test field must be real"),
+        "space_only": (Field(lat, Representation.PHYSICAL, np.ones(lat.n_space)),
+                       "test field must be a space-time field"),
+        "other_lattice": (random_band_limited(other, rng),
+                          "test field lives on a different lattice"),
+    }
+
+
+_TEST_FIELD_ENTRIES = {
+    "representer_unchecked": lambda model, phi: representer(phi, model.measure, check=False),
+    "representer_checked": lambda model, phi: representer(phi, model.measure, check=True),
+    "mc_isometry_batch": lambda model, phi: mc_isometry_batch(model, [phi], 0, 4),
+    "mc_representer_field": lambda model, phi: mc_representer_field(model, phi, 0, 4),
+}
+
+
+@pytest.mark.parametrize("case", ["nan", "complex", "space_only", "other_lattice"])
+@pytest.mark.parametrize("entry", sorted(_TEST_FIELD_ENTRIES))
+def test_every_test_field_entry_point_refuses_a_bad_test_field(entry, case):
+    """One check of the test field behind every entry point: a NaN phi is a
+    ValueError, never an isometry row with z_score 0.0, and a complex phi is
+    refused, not paired by its real part against its complex norm."""
+    lat = _lat(n=16, nt=8)
+    model = NoiseModel(SpectralMeasure("bessel", 2.0, 1), lat)
+    phi, message = _bad_test_fields(lat)[case]
+    if case == "other_lattice" and entry.startswith("representer"):
+        # representer works on phi's own lattice: the measure's dimension is checked
+        message = "measure dim 1 != lattice dim 2"
+    with pytest.raises(ValueError, match=message):
+        _TEST_FIELD_ENTRIES[entry](model, phi)

@@ -405,11 +405,18 @@ def _edit_manifest(d, edit):
     (lambda m: m["lattice"].update(extent=8.0), "malformed manifest"),
     (lambda m: m.update(files=["path_00000.fld", m["files"][1]]), "malformed manifest"),
     (lambda m: m["measure"].update(alpha="2"), "malformed manifest"),
+    (lambda m: m["measure"].update(dim=2), "measure dim 2 != lattice dim 1"),
+    (lambda m: m.update(rng_id=5), "manifest rng_id must be a string, got 5"),
 ], ids=["top_key", "file_key", "lattice_key", "format", "non_finite_lattice",
-        "non_finite_alpha", "list", "scalar_extent", "file_entry_text", "alpha_text"])
+        "non_finite_alpha", "list", "scalar_extent", "file_entry_text", "alpha_text",
+        "measure_dim_2", "rng_id_int"])
 def test_ensemble_load_rejects_bad_manifest(tmp_path, edit, message):
+    """Each refusal is one ValueError, raised before any file is read: the
+    path files are gone."""
     _, d = _saved(tmp_path)
     _edit_manifest(d, edit)
+    for path in d.glob("*.fld"):
+        path.unlink()
     with pytest.raises(ValueError, match=message):
         PathEnsemble.load(d)
 

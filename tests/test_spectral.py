@@ -60,6 +60,8 @@ def test_parameter_validation():
         SpectralMeasure("bessel", -1.0, 1)
     with pytest.raises(ValueError):
         SpectralMeasure("white", 1.0, 0)
+    with pytest.raises(ValueError, match="dim must be a positive integer, got True"):
+        SpectralMeasure("bessel", 2.0, True)  # as a lattice dim, a bool is refused
     # formal mode relaxes the Riesz range check but records the caveat
     m = SpectralMeasure("riesz", 1.5, 1, formal=True)
     assert m.formal
