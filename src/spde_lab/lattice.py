@@ -33,7 +33,7 @@ import struct
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,11 @@ class Representation(str, Enum):
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _number(x) -> bool:
+    """Whether x is a real number, numpy's included: not text and not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def _phi1(x: np.ndarray) -> np.ndarray:
@@ -69,6 +74,9 @@ class SpaceTimeLattice:
                    for n in (self.dim, self.n_time, *self.n_space)):
             raise ValueError(f"dim, n_space and n_time must be integers, got "
                              f"{self.dim!r}, {self.n_space!r}, {self.n_time!r}")
+        if not all(map(_number, (*self.extent, self.t_max))):
+            raise ValueError(f"extent and t_max must be numbers, got "
+                             f"{self.extent!r}, {self.t_max!r}")
         for name, value in (("dim", int(self.dim)),
                             ("extent", tuple(float(L) for L in self.extent)),
                             ("n_space", tuple(int(n) for n in self.n_space)),

@@ -124,7 +124,9 @@ def assemble_covariance(measure: SpectralMeasure, lattice: SpaceTimeLattice,
         V = np.concatenate([V, V], axis=1)
         rows = time_of == a
         R[rows] = F[rows] @ (F * V[time_of]).T
-    R = 0.5 * (R + R.T)
+    del ph, F, V  # the eigensolve below runs with only R alive
+    R += R.T  # (R + R^T)/2 in place, exactly symmetric
+    R *= 0.5
 
     trace = float(np.trace(R))
     eigvals, eigvecs = np.linalg.eigh(R)
@@ -138,7 +140,8 @@ def assemble_covariance(measure: SpectralMeasure, lattice: SpaceTimeLattice,
     if min_eig < 0.0:
         clipped = np.maximum(eigvals, 0.0)
         R = (eigvecs * clipped) @ eigvecs.T
-        R = 0.5 * (R + R.T)
+        R += R.T
+        R *= 0.5
         projected = True
     return CovarianceMatrix(points, R, measure, lattice,
                             {"min_eig": min_eig, "trace": trace,
@@ -211,24 +214,26 @@ def conditional_cov_screen(C: CovarianceMatrix, part: RegionPartition) -> dict:
         return report
     S = C.values
     I, B, O = part.inside, part.band, part.outside
-    S_bb = S[np.ix_(B, B)].copy()
+    S_bb, S_ib = S[np.ix_(B, B)], S[np.ix_(I, B)]
     ridge = 1e-10 * float(np.trace(S_bb))
-    S_bb[np.diag_indices_from(S_bb)] += ridge
-    # cho_factor(S_bb, lower=True) and cho_solve's LAPACK calls and checks
+    # the ridged copy is Fortran-ordered, so dpotrf factors it in place
+    ridged = np.array(S_bb, order="F")
+    ridged[np.diag_indices_from(ridged)] += ridge
+    # cho_factor(ridged, lower=True) and cho_solve's LAPACK calls and checks
     lapack = _scipy_extension("linalg", "_flapack")
-    chol, info = lapack.dpotrf(np.asarray_chkfinite(S_bb), lower=1, clean=0, overwrite_a=0)
+    chol, info = lapack.dpotrf(np.asarray_chkfinite(ridged), lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise InvariantViolation(f"band block not factorizable: {info}-th leading "
                                  "minor of the array is not positive definite")
     K_bi, K_bo = (lapack.dpotrs(chol, np.asarray_chkfinite(S[np.ix_(B, J)]),
                                 lower=1, overwrite_b=0)[0] for J in (I, O))
-    cond_io = S[np.ix_(I, O)] - S[np.ix_(I, B)] @ K_bo
-    var_i = S[I, I] - np.sum(S[np.ix_(I, B)].T * K_bi, axis=0)
+    cond_io = S[np.ix_(I, O)] - S_ib @ K_bo
+    var_i = S[I, I] - np.sum(S_ib.T * K_bi, axis=0)
     var_o = S[O, O] - np.sum(S[np.ix_(O, B)].T * K_bo, axis=0)
     floor = 1e-12 * float(np.max(np.diag(S)))
     denom = np.sqrt(np.outer(np.maximum(var_i, floor), np.maximum(var_o, floor)))
     corr = np.abs(cond_io) / denom
-    bb_eigs = np.linalg.eigvalsh(S[np.ix_(B, B)])
+    bb_eigs = np.linalg.eigvalsh(S_bb)
     report.update({
         "max_abs_cond_corr": float(corr.max()),
         "ridge": ridge,

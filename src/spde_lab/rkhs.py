@@ -278,10 +278,14 @@ def norm_equivalence_study(samples: int, measure: SpectralMeasure,
     The samples run in chunks along a leading sample axis, CHUNK_BYTES of
     white-noise draws each, worked in place in two complex stacks: phi, then
     Phi and its covariance norm, F1 = F phi1 and its half of the parabolic
-    norm, and last H and its half.  The white noise is drawn in sample order
-    and every operation keeps its per-sample order, so each ratio equals
-    random_band_limited, representer and krylov_norm / norm for that sample
-    byte for byte, whatever the chunk size.
+    norm, and last H and its half.  The stacks are laid out time-major,
+    (n_time + 1, chunk, *n_space), and worked through sample-major views, so
+    the march steps contiguous time slices; the pairing's products go to the
+    spent first stack read sample-major and the norm terms to the spent
+    draws, so every sum reduces one sample's contiguous block.  The white
+    noise is drawn in sample order and every operation keeps its per-sample
+    order, so each ratio equals random_band_limited, representer and
+    krylov_norm / norm for that sample byte for byte, whatever the chunk size.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for the spread estimate")
@@ -292,14 +296,16 @@ def norm_equivalence_study(samples: int, measure: SpectralMeasure,
     g = _grid_density(measure, lattice)
     ratios = np.zeros(samples)
     # buffers for every chunk: fresh ones (above glibc's mmap threshold) fault
-    white, stacks = np.empty((chunk,) + shape), np.empty((2, chunk) + shape, complex)
+    white, stacks = np.empty((chunk,) + shape), np.empty((2, shape[0], chunk) + shape[1:], complex)
     for start in range(0, samples, chunk):
         c = min(chunk, samples - start)
-        A, B = stacks[:, :c]
+        A, B = np.swapaxes(stacks[:, :, :c], 1, 2)  # (c, n_time+1, *n_space) views
         terms = white[:c, :-1]  # the spent white noise holds the terms of the norm sums
         band_limit(rng.standard_normal(out=white[:c]), lattice, out=A)  # phi
         spectral_transform(A, lattice, out=B)
-        denom = np.sqrt(np.maximum(pair_stacks(B, B, measure, lattice, A[:, :-1]).real, 0.0))
+        # the spent stack A, read sample-major, takes the pairing's products
+        products = stacks[0].reshape(-1)[:terms.size].reshape(terms.shape)
+        denom = np.sqrt(np.maximum(pair_stacks(B, B, measure, lattice, products).real, 0.0))
         spectral_transform(np.multiply(B, g, out=B), lattice, inverse=True, out=B)  # phi1
         spectral_transform(B, lattice, out=B)
         f1_norms = _weighted_norms(B, w_f1, lattice, terms)

@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 import scipy
 
-from .lattice import Field, Representation, _grid_density
+from .lattice import Field, Representation, _grid_density, _number
 
 
 class Family(str, Enum):
@@ -67,9 +67,12 @@ class SpectralMeasure:
     def __post_init__(self):
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family(self.family))
-        if isinstance(self.dim, bool) or self.dim < 1 or int(self.dim) != self.dim:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        if not (_number(self.dim) and self.dim >= 1 and float(self.dim).is_integer()):
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         a = self.alpha
+        if not _number(a):
+            raise ValueError(f"alpha must be a number, got alpha={a!r}")
         if not math.isfinite(a):
             raise ValueError(f"alpha must be finite, got alpha={a}")
         if self.family is Family.RIESZ:

@@ -78,6 +78,13 @@ def test_lattice_rejects_non_finite_sizes(extent, t_max):
         SpaceTimeLattice(1, (extent,), (8,), t_max, 4)
 
 
+@pytest.mark.parametrize("extent, t_max", [("8", 1.0), (8.0, "1.0"), (True, 1.0), (8.0, True)],
+                         ids=["extent_text", "t_max_text", "extent_bool", "t_max_bool"])
+def test_lattice_rejects_text_and_bool_sizes(extent, t_max):
+    with pytest.raises(ValueError, match="extent and t_max must be numbers"):
+        SpaceTimeLattice(1, (extent,), (8,), t_max, 4)
+
+
 @pytest.mark.parametrize("n_space, n_time", [((8.7,), 4), ((8.0,), 4), ((8,), 2.5)],
                          ids=["n_space_fraction", "n_space_float", "n_time_fraction"])
 def test_lattice_rejects_non_integer_sizes(n_space, n_time):

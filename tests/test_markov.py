@@ -6,6 +6,7 @@ import importlib.machinery
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,23 @@ def test_assemble_point_budget_and_horizon():
         assemble_covariance(m, lat, [])
     with pytest.raises(ValueError):
         assemble_covariance(m, lat, [(1.5, (0.0,))])
+
+
+def test_psd_eigensolve_runs_with_only_the_matrix_alive(monkeypatch):
+    """At the PSD gate's eigh call the assembly holds R and little else: the
+    features and time weights are released first (P = 512, N = 256)."""
+    lat = SpaceTimeLattice(1, (4.0,), (256,), 1.0, 64)
+    points = [(m / 64, (j / 8,)) for m in range(1, 65, 4) for j in range(32)]
+    alive, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: alive.append(
+        tracemalloc.get_traced_memory()[0]) or eigh(a))
+    tracemalloc.start()
+    try:
+        C = assemble_covariance(SpectralMeasure("bessel", 2.0, 1), lat, points)
+    finally:
+        tracemalloc.stop()
+    assert C.values.shape == (512, 512) and len(alive) == 1
+    assert alive[0] <= C.values.nbytes + 0.25 * 2 ** 20
 
 
 def test_column_gram_matches_oracle():
@@ -256,6 +274,9 @@ def test_direct_lapack_calls_have_the_bytes_of_cho_factor_and_cho_solve(n):
     chol, info = lapack.dpotrf(A, lower=1, clean=0, overwrite_a=0)
     ref = cho_factor(A, lower=True)
     assert info == 0 and chol.tobytes() == ref[0].tobytes()
+    inplace = np.array(A, order="F")  # the screen factors its Fortran copy in place
+    factor = lapack.dpotrf(inplace, lower=1, clean=0, overwrite_a=1)[0]
+    assert np.shares_memory(factor, inplace) and factor.tobytes() == chol.tobytes()
     x, info = lapack.dpotrs(chol, B, lower=1, overwrite_b=0)
     assert info == 0 and x.tobytes() == cho_solve(ref, B).tobytes()
 

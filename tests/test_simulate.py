@@ -404,12 +404,13 @@ def _edit_manifest(d, edit):
     (lambda m: [m], "malformed manifest"),
     (lambda m: m["lattice"].update(extent=8.0), "malformed manifest"),
     (lambda m: m.update(files=["path_00000.fld", m["files"][1]]), "malformed manifest"),
-    (lambda m: m["measure"].update(alpha="2"), "malformed manifest"),
+    (lambda m: m["measure"].update(alpha="2"), "alpha must be a number, got alpha='2'"),
+    (lambda m: m["lattice"].update(t_max="1.0"), "extent and t_max must be numbers"),
     (lambda m: m["measure"].update(dim=2), "measure dim 2 != lattice dim 1"),
     (lambda m: m.update(rng_id=5), "manifest rng_id must be a string, got 5"),
 ], ids=["top_key", "file_key", "lattice_key", "format", "non_finite_lattice",
         "non_finite_alpha", "list", "scalar_extent", "file_entry_text", "alpha_text",
-        "measure_dim_2", "rng_id_int"])
+        "t_max_text", "measure_dim_2", "rng_id_int"])
 def test_ensemble_load_rejects_bad_manifest(tmp_path, edit, message):
     """Each refusal is one ValueError, raised before any file is read: the
     path files are gone."""
@@ -419,6 +420,14 @@ def test_ensemble_load_rejects_bad_manifest(tmp_path, edit, message):
         path.unlink()
     with pytest.raises(ValueError, match=message):
         PathEnsemble.load(d)
+
+
+def test_saved_manifest_records_an_integer_measure_dim(tmp_path):
+    """A measure built with dim 1.0 keeps the int 1, so the manifest says "dim": 1."""
+    ens = simulate_u(SpectralMeasure("bessel", 2.0, 1.0), _lat(n=16, nt=8), seed=3, n_paths=1)
+    manifest = json.loads(ens.save(tmp_path / "run").read_text())
+    assert type(manifest["measure"]["dim"]) is int and manifest["measure"]["dim"] == 1
+    assert PathEnsemble.load(tmp_path / "run").measure == ens.measure
 
 
 @pytest.mark.parametrize("key", ["n_paths", "seed"])

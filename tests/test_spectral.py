@@ -67,6 +67,16 @@ def test_parameter_validation():
     assert m.formal
 
 
+def test_measure_keeps_an_integer_dim_and_refuses_text():
+    m = SpectralMeasure("bessel", 2.0, 2.0)
+    assert type(m.dim) is int and m.dim == 2
+    assert type(SpectralMeasure("bessel", 2.0, np.int64(3)).dim) is int
+    with pytest.raises(ValueError, match="dim must be a positive integer, got '2'"):
+        SpectralMeasure("bessel", 2.0, "2")
+    with pytest.raises(ValueError, match="alpha must be a number, got alpha='2.0'"):
+        SpectralMeasure("bessel", "2.0", 2)
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("family, formal", [
     ("white", False), ("riesz", False), ("riesz", True), ("bessel", False),
